@@ -115,6 +115,11 @@ def cmd_train(cfg) -> int:
     from . import experiment, lcksvd, serialization
     from .classify import train_per_class
 
+    if cfg.pipeline == "kernel_baseline":
+        raise SystemExit(
+            "lkdl train: pipeline 'kernel_baseline' has no model container; "
+            "run it end to end with 'lkdl experiment'"
+        )
     train, test = experiment.load_split(cfg)
     seed = experiment.derive_seeds(cfg.seed, 1)[0]
     out = Path(cfg.output_dir)
@@ -157,7 +162,9 @@ def cmd_classify(cfg, model_path, map_path) -> int:
     import csv as _csv
     from pathlib import Path
 
-    from . import experiment, nystrom, serialization
+    import numpy as np
+
+    from . import experiment, lcksvd, nystrom, serialization
     from .classify import class_residuals
 
     _, test = experiment.load_split(cfg)
@@ -168,11 +175,17 @@ def cmd_classify(cfg, model_path, map_path) -> int:
         F_test = nystrom.transform(nmap, X_test)
     else:
         F_test = X_test
-    model = serialization.load_class_model(model_path)
-    res = class_residuals(model, F_test)
-    import numpy as np
-
-    pred = model.labels[np.argmin(res, axis=0)]
+    model = serialization.load_model(model_path)
+    if isinstance(model, lcksvd.LCKSVDModel):
+        labels = model.classes
+        column = "score"
+        values = lcksvd.class_scores(model, F_test)
+        pred = labels[np.argmax(values, axis=0)]
+    else:
+        labels = model.labels
+        column = "residual"
+        values = class_residuals(model, F_test)
+        pred = labels[np.argmin(values, axis=0)]
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "predictions.csv"
@@ -180,12 +193,12 @@ def cmd_classify(cfg, model_path, map_path) -> int:
         writer = _csv.writer(fh)
         writer.writerow(
             ["sample_index", "true_label", "predicted_label"]
-            + [f"residual_{int(lab)}" for lab in model.labels]
+            + [f"{column}_{int(lab)}" for lab in labels]
         )
         for i in range(F_test.shape[1]):
             writer.writerow(
                 [i, int(test.labels[i]), int(pred[i])]
-                + [repr(v) for v in res[:, i]]
+                + [repr(v) for v in values[:, i]]
             )
     acc = float(np.mean(pred == test.labels))
     print(f"accuracy {acc:.4f}; wrote {path}")

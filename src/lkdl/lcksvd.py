@@ -165,9 +165,22 @@ def predict(model: LCKSVDModel, x: np.ndarray, q: int | None = None):
     return model.classes[int(np.argmax(scores))], scores
 
 
+def class_scores(
+    model: LCKSVDModel, X: np.ndarray, q: int | None = None
+) -> np.ndarray:
+    """Classifier scores Theta gamma_i of each column of X; shape
+    (n_classes, n_samples)."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.shape[0] != model.D.shape[0]:
+        raise ValueError(
+            f"sample dimension {X.shape[0]} does not match model "
+            f"({model.D.shape[0]})"
+        )
+    return model.Theta @ omp_batch(model.D, X, model.q if q is None else q)
+
+
 def predict_batch(
     model: LCKSVDModel, X: np.ndarray, q: int | None = None
 ) -> np.ndarray:
-    Gamma = omp_batch(model.D, X, model.q if q is None else q)
-    scores = model.Theta @ Gamma
+    scores = class_scores(model, X, q)
     return model.classes[np.argmax(scores, axis=0)]

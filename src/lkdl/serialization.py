@@ -156,6 +156,15 @@ def load_class_model(path) -> ClassDictionaryModel:
     return ClassDictionaryModel(labels=labels, dictionaries=dictionaries, q=q)
 
 
+def load_model(path) -> ClassDictionaryModel | LCKSVDModel:
+    """Load a classifier container of either kind: a per-class model or an
+    LC-KSVD model."""
+    kind, _ = _open(path)
+    if kind == KIND_LCKSVD_MODEL:
+        return load_lcksvd_model(path)
+    return load_class_model(path)
+
+
 def save_lcksvd_model(model: LCKSVDModel, path) -> None:
     payload = _header(KIND_LCKSVD_MODEL) + struct.pack(
         "<BIdd d", model.variant, model.q, model.sqrt_alpha, model.sqrt_beta,

@@ -2,18 +2,18 @@
 form (KOMP) that operates entirely through kernel values and a coefficient
 dictionary A (feature-space atoms Phi(X) a_j).
 
-Both share the same greedy structure: pick the atom with the largest
-absolute correlation to the residual (lowest index on ties), re-solve least
-squares on the support, repeat until the cardinality budget q is exhausted
-or the residual norm drops below eps.
+Both run one batch pursuit over (correlations, atom Gram, signal
+energies): pick the atom with the largest absolute correlation to the
+residual (lowest index on ties), re-solve least squares on the support,
+repeat until the cardinality budget q is exhausted or the residual norm
+drops below eps. Single-signal calls are batches of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 @dataclass
@@ -32,79 +32,125 @@ class SparseCode:
         return g
 
 
-def _solve_support(M: np.ndarray, b: np.ndarray):
-    """Least-squares coefficients on the support via Cholesky of the support
-    Gram; falls back to lstsq on breakdown. Returns (gamma, degenerate)."""
-    try:
-        c, low = scipy.linalg.cho_factor(M, check_finite=False)
-        return scipy.linalg.cho_solve((c, low), b, check_finite=False), False
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
-        gamma, *_ = np.linalg.lstsq(M, b, rcond=None)
-        return gamma, True
-
-
-def _greedy_pursuit(
-    corr0: np.ndarray,
+def _batch_pursuit(
+    C0: np.ndarray,
     G: np.ndarray,
-    norm2: float,
+    norms2: np.ndarray,
     q: int,
     eps: float,
-) -> SparseCode:
-    """Shared greedy loop. ``corr0`` are the initial correlations <x, d_j>
-    (in whatever inner product applies), ``G`` the m x m atom Gram in the
-    same inner product, ``norm2`` the squared norm of the signal."""
-    m = corr0.shape[0]
-    support: list[int] = []
-    gamma = np.zeros(0)
-    rnorm2 = max(norm2, 0.0)
-    degenerate = False
-    mask = np.zeros(m, dtype=bool)
-    while len(support) < min(q, m) and rnorm2 > eps * eps:
-        if support:
-            corr = corr0 - G[:, support] @ gamma
-        else:
-            corr = corr0.copy()
-        corr[mask] = 0.0
-        j = int(np.argmax(np.abs(corr)))
-        if support and abs(corr[j]) == 0.0:
-            break
-        support.append(j)
-        mask[j] = True
-        sub = np.ix_(support, support)
-        gamma_new, bad = _solve_support(G[sub], corr0[support])
-        if bad:
-            # singular support Gram: drop the offending atom, keep the last
-            # consistent code and stop
-            support.pop()
-            degenerate = True
-            break
-        gamma = gamma_new
-        rnorm2 = max(norm2 - float(corr0[support] @ gamma), 0.0)
-    return SparseCode(
-        support=np.asarray(support, dtype=np.int64),
-        values=np.asarray(gamma, dtype=np.float64),
-        residual_norm=float(np.sqrt(max(rnorm2, 0.0))),
-        degenerate=degenerate,
-    )
+):
+    """Greedy pursuit of n signals at once (Batch-OMP: Rubinstein,
+    Zibulevsky & Elad, "Efficient implementation of the K-SVD algorithm
+    using Batch Orthogonal Matching Pursuit", Technion CS-2008-08).
 
+    ``C0`` holds the m x n initial correlations <x_i, d_j> (in whatever
+    inner product applies), ``G`` the m x m atom Gram in the same inner
+    product and ``norms2`` the n squared signal norms. Each step adds one
+    atom to every active column and extends that column's Cholesky factor
+    of its support Gram by one row, so the Python loop runs min(q, m) times.
 
-def _single_atom_codes(
-    C: np.ndarray, gdiag: np.ndarray, norms2: np.ndarray
-) -> np.ndarray:
-    """Vectorized pursuit for the q=1, eps=0 case: one argmax per column.
+    A column stops when its residual energy drops to eps^2, when its best
+    correlation is exactly 0 after the first atom, or when the new pivot
+    is not positive (singular support Gram): that atom is dropped, the
+    previous code kept and the column flagged degenerate.
 
-    Matches the generic loop exactly: columns with zero norm stay empty,
-    ties go to the lowest index, and a non-positive atom self-product (the
-    1x1 support Gram) counts as degenerate and leaves the column empty.
-    ``C`` holds the m x n initial correlations.
+    Returns (support, values, size, rnorm2, degenerate): row i holds column
+    i's atoms in selection order and their coefficients in its first
+    ``size[i]`` entries, its residual energy and its degeneracy flag.
     """
-    m, n = C.shape
-    Gamma = np.zeros((m, n))
-    j = np.argmax(np.abs(C), axis=0)
-    ok = (norms2 > 0.0) & (gdiag[j] > 0.0)
-    cols = np.nonzero(ok)[0]
-    Gamma[j[cols], cols] = C[j[cols], cols] / gdiag[j[cols]]
+    m, n = C0.shape
+    smax = max(min(q, m), 0)
+    support = np.zeros((n, smax), dtype=np.int64)
+    values = np.zeros((n, smax))
+    size = np.zeros(n, dtype=np.int64)
+    rnorm2 = np.maximum(norms2, 0.0)
+    degenerate = np.zeros(n, dtype=bool)
+    CT, GT = C0.T, np.ascontiguousarray(G.T)
+    # state of the active columns: indices, atoms, Cholesky factors L of
+    # the support Grams, c0_S, L^{-1} c0_S and the coefficients
+    act = np.flatnonzero(rnorm2 > eps * eps)
+    S = np.zeros((act.size, smax), dtype=np.int64)
+    L = np.zeros((act.size, smax, smax))
+    cS = np.zeros((act.size, smax))
+    y = np.zeros((act.size, smax))
+    gam = np.zeros((act.size, smax))
+
+    def keep_only(keep):
+        nonlocal act, S, L, cS, y, gam
+        act, S, L, cS, y, gam = (a[keep] for a in (act, S, L, cS, y, gam))
+
+    for s in range(smax):
+        if act.size == 0:
+            break
+        rows = np.arange(act.size)
+        if s == 0:
+            absC = np.abs(CT if act.size == n else CT[act])
+        else:
+            corr = CT[act]
+            for k in range(s):
+                corr = corr - gam[:, k, None] * GT[S[:, k]]
+            absC = np.abs(corr)
+            absC[rows[:, None], S[:, :s]] = 0.0
+        j = absC.argmax(axis=1)
+        if s:
+            live = absC[rows, j] != 0.0
+            if not live.all():
+                keep_only(live)
+                j = j[live]
+        # new row of the support Gram's Cholesky factor: L w = G[S, j],
+        # pivot d^2 = G[j, j] - |w|^2
+        w = L[:, s, :s]
+        for k in range(s):
+            w[:, k] = (G[S[:, k], j] - np.einsum(
+                "ij,ij->i", L[:, k, :k], w[:, :k])) / L[:, k, k]
+        d2 = G[j, j] - np.einsum("ij,ij->i", w, w)
+        ok = d2 > 0.0
+        if not ok.all():
+            degenerate[act[~ok]] = True
+            keep_only(ok)
+            j, d2 = j[ok], d2[ok]
+        S[:, s] = j
+        L[:, s, s] = np.sqrt(d2)
+        cS[:, s] = CT[act, j]
+        y[:, s] = (cS[:, s] - np.einsum(
+            "ij,ij->i", L[:, s, :s], y[:, :s])) / L[:, s, s]
+        # back substitution L^T gamma_S = y
+        for k in range(s, -1, -1):
+            gam[:, k] = (y[:, k] - np.einsum(
+                "ij,ij->i", L[:, k + 1 : s + 1, k], gam[:, k + 1 : s + 1])
+            ) / L[:, k, k]
+        r = np.maximum(norms2[act] - np.einsum(
+            "ij,ij->i", cS[:, : s + 1], gam[:, : s + 1]), 0.0)
+        support[act, s] = j
+        values[act, : s + 1] = gam[:, : s + 1]
+        size[act] = s + 1
+        rnorm2[act] = r
+        going = r > eps * eps
+        if not going.all():
+            keep_only(going)
+    return support, values, size, rnorm2, degenerate
+
+
+def _dense_codes(support, values, size, m: int) -> np.ndarray:
+    """Scatter per-column codes from ``_batch_pursuit`` into an m x n
+    coefficient matrix."""
+    Gamma = np.zeros((m, size.shape[0]))
+    filled = np.arange(support.shape[1]) < size[:, None]
+    Gamma[support[filled], np.nonzero(filled)[0]] = values[filled]
     return Gamma
+
+
+def _single_code(C0, G, norm2: float, q: int, eps: float) -> SparseCode:
+    support, values, size, rnorm2, degenerate = _batch_pursuit(
+        C0.reshape(-1, 1), G, np.array([norm2]), q, eps
+    )
+    s = int(size[0])
+    return SparseCode(
+        support=support[0, :s],
+        values=values[0, :s],
+        residual_norm=float(np.sqrt(rnorm2[0])),
+        degenerate=bool(degenerate[0]),
+    )
 
 
 def omp(
@@ -112,50 +158,29 @@ def omp(
     x: np.ndarray,
     q: int,
     eps: float = 0.0,
-    *,
-    Dtx: np.ndarray | None = None,
-    G: np.ndarray | None = None,
 ) -> SparseCode:
-    """Orthogonal matching pursuit of x over the unit-norm dictionary D.
-
-    ``Dtx`` and ``G`` allow reuse of precomputed D^T x and D^T D (batch
-    acceleration); results are identical to computing them here.
-    """
+    """Orthogonal matching pursuit of x over the unit-norm dictionary D."""
     D = np.atleast_2d(np.asarray(D, dtype=np.float64))
     x = np.ravel(np.asarray(x, dtype=np.float64))
     if q < 1:
         raise ValueError("cardinality q must be >= 1")
     if D.shape[0] != x.shape[0]:
         raise ValueError("signal dimension does not match dictionary")
-    if Dtx is None:
-        Dtx = D.T @ x
-    if G is None:
-        G = D.T @ D
-    return _greedy_pursuit(Dtx, G, float(x @ x), q, eps)
+    return _single_code(D.T @ x, D.T @ D, float(x @ x), q, eps)
 
 
 def omp_batch(
     D: np.ndarray, X: np.ndarray, q: int, eps: float = 0.0
 ) -> np.ndarray:
-    """Column-wise OMP with the Gram matrix and D^T X precomputed once.
+    """OMP of every column of X in one batch pursuit, with the Gram matrix
+    and D^T X computed once.
 
     Returns the dense m x N coefficient matrix.
     """
     D = np.atleast_2d(np.asarray(D, dtype=np.float64))
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    m, n = D.shape[1], X.shape[1]
-    Gamma = np.zeros((m, n))
-    if n == 0:
-        return Gamma
-    G = D.T @ D
-    DtX = D.T @ X
-    norms2 = np.sum(X * X, axis=0)
-    if q == 1 and eps == 0.0:
-        return _single_atom_codes(DtX, np.diag(G), norms2)
-    for i in range(n):
-        code = _greedy_pursuit(DtX[:, i], G, float(norms2[i]), q, eps)
-        Gamma[code.support, i] = code.values
-    return Gamma
+    codes = _batch_pursuit(D.T @ X, D.T @ D, np.sum(X * X, axis=0), q, eps)
+    return _dense_codes(*codes[:3], D.shape[1])
 
 
 def normalize_coefficient_dictionary(
@@ -176,16 +201,13 @@ def komp(
     A: np.ndarray,
     q: int,
     eps: float = 0.0,
-    *,
-    b: np.ndarray | None = None,
-    M: np.ndarray | None = None,
 ) -> SparseCode:
     """Kernel OMP of a signal z over the coefficient dictionary A.
 
     Correlations are K(z,X) a_j - gamma_S^T A_S^T K(X,X) a_j and the support
     solve is [A_S^T K A_S]^{-1} (K(z,X) A_S)^T; the residual norm is tracked
     through kzz and the same quantities, so the feature space is never
-    touched. ``b`` (= K_zX @ A) and ``M`` (= A^T K A) may be precomputed.
+    touched.
     """
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     K_zX = np.ravel(np.asarray(K_zX, dtype=np.float64))
@@ -193,12 +215,8 @@ def komp(
         raise ValueError("cardinality q must be >= 1")
     if K_zX.shape[0] != A.shape[0]:
         raise ValueError("K(z,X) length does not match coefficient dictionary")
-    if b is None:
-        b = K_zX @ A
-    if M is None:
-        KA = np.asarray(K_XX, dtype=np.float64) @ A
-        M = A.T @ KA
-    return _greedy_pursuit(b, M, float(kzz), q, eps)
+    M = A.T @ (np.asarray(K_XX, dtype=np.float64) @ A)
+    return _single_code(K_zX @ A, M, float(kzz), q, eps)
 
 
 def komp_batch(
@@ -209,20 +227,11 @@ def komp_batch(
     q: int,
     eps: float = 0.0,
 ) -> np.ndarray:
-    """KOMP over many signals; rows of K_ZX are K(z_i, X). Returns the dense
-    m x n_z coefficient matrix."""
+    """KOMP over many signals in one batch pursuit; rows of K_ZX are
+    K(z_i, X). Returns the dense m x n_z coefficient matrix."""
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     K_ZX = np.atleast_2d(np.asarray(K_ZX, dtype=np.float64))
     kzz = np.ravel(np.asarray(kzz, dtype=np.float64))
-    m = A.shape[1]
-    n = K_ZX.shape[0]
-    KA = np.asarray(K_XX, dtype=np.float64) @ A
-    M = A.T @ KA
-    B = K_ZX @ A
-    if q == 1 and eps == 0.0:
-        return _single_atom_codes(B.T, np.diag(M), kzz)
-    Gamma = np.zeros((m, n))
-    for i in range(n):
-        code = _greedy_pursuit(B[i], M, float(kzz[i]), q, eps)
-        Gamma[code.support, i] = code.values
-    return Gamma
+    M = A.T @ (np.asarray(K_XX, dtype=np.float64) @ A)
+    codes = _batch_pursuit((K_ZX @ A).T, M, kzz, q, eps)
+    return _dense_codes(*codes[:3], A.shape[1])

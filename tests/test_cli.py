@@ -3,7 +3,9 @@ import json
 
 import numpy as np
 import pytest
+import yaml
 
+from lkdl import experiment
 from lkdl.cli import apply_overrides, main
 
 
@@ -123,6 +125,48 @@ def test_train_then_classify_round_trip(mixture_config, tmp_path):
     # the blobs are well separated; the round-tripped model should be good
     acc = np.mean([r[1] == r[2] for r in rows])
     assert acc >= 0.95
+
+
+def test_train_refuses_kernel_baseline_pipeline(mixture_config, tmp_path):
+    # the exact-kernel baseline has no model container; training must not
+    # fall back to a linear model on the raw samples
+    out = tmp_path / "model_dir"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["train", "--config", str(mixture_config), "--out", str(out),
+              "--set", "pipeline=kernel_baseline"])
+    assert excinfo.value.code not in (0, None)
+    assert "kernel_baseline" in str(excinfo.value.code)
+    assert not (out / "model.lkdl").exists()
+
+
+@pytest.mark.parametrize("learner, column", [
+    ("per_class", "residual"),
+    ("lcksvd", "score"),
+])
+def test_train_classify_accuracy_equals_run_single(
+    mixture_config, tmp_path, learner, column
+):
+    overrides = [f"learner.type={learner}", "learner.m=8"]
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    model_dir, pred_dir = tmp_path / "model_dir", tmp_path / "pred_dir"
+    assert main(["train", "--config", str(mixture_config),
+                 "--out", str(model_dir)] + sets) == 0
+    assert main(["classify", "--config", str(mixture_config),
+                 "--out", str(pred_dir),
+                 "--model", str(model_dir / "model.lkdl"),
+                 "--map", str(model_dir / "nystrom_map.lkdl")] + sets) == 0
+    with (pred_dir / "predictions.csv").open() as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = list(reader)
+    assert header[3:] == [f"{column}_1", f"{column}_2"]
+    cli_accuracy = float(np.mean([r[1] == r[2] for r in rows]))
+
+    raw = apply_overrides(yaml.safe_load(mixture_config.read_text()), overrides)
+    cfg = experiment.ExperimentConfig.from_dict(raw)
+    train, test = experiment.load_split(cfg)
+    seed = experiment.derive_seeds(cfg.seed, 1)[0]
+    assert cli_accuracy == experiment.run_single(cfg, train, test, seed)["accuracy"]
 
 
 def test_sweep_command(mixture_config, tmp_path):

@@ -2,18 +2,88 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lkdl.kernels import KernelSpec, kernel_matrix
 from lkdl.nystrom import exact_virtual_samples
 from lkdl.sparse_coding import (
+    SparseCode,
+    _batch_pursuit,
     komp,
     komp_batch,
     normalize_coefficient_dictionary,
     omp,
     omp_batch,
 )
+
+
+# Reference: the per-column pursuit the batch pursuit replaced, one signal
+# at a time with a fresh Cholesky factorization of the support Gram per step.
+
+def _solve_support(M: np.ndarray, b: np.ndarray):
+    """Least-squares coefficients on the support via Cholesky of the support
+    Gram; falls back to lstsq on breakdown. Returns (gamma, degenerate)."""
+    try:
+        c, low = scipy.linalg.cho_factor(M, check_finite=False)
+        return scipy.linalg.cho_solve((c, low), b, check_finite=False), False
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
+        gamma, *_ = np.linalg.lstsq(M, b, rcond=None)
+        return gamma, True
+
+
+def _greedy_pursuit(
+    corr0: np.ndarray,
+    G: np.ndarray,
+    norm2: float,
+    q: int,
+    eps: float,
+) -> SparseCode:
+    """Shared greedy loop. ``corr0`` are the initial correlations <x, d_j>
+    (in whatever inner product applies), ``G`` the m x m atom Gram in the
+    same inner product, ``norm2`` the squared norm of the signal."""
+    m = corr0.shape[0]
+    support: list[int] = []
+    gamma = np.zeros(0)
+    rnorm2 = max(norm2, 0.0)
+    degenerate = False
+    mask = np.zeros(m, dtype=bool)
+    while len(support) < min(q, m) and rnorm2 > eps * eps:
+        if support:
+            corr = corr0 - G[:, support] @ gamma
+        else:
+            corr = corr0.copy()
+        corr[mask] = 0.0
+        j = int(np.argmax(np.abs(corr)))
+        if support and abs(corr[j]) == 0.0:
+            break
+        support.append(j)
+        mask[j] = True
+        sub = np.ix_(support, support)
+        gamma_new, bad = _solve_support(G[sub], corr0[support])
+        if bad:
+            # singular support Gram: drop the offending atom, keep the last
+            # consistent code and stop
+            support.pop()
+            degenerate = True
+            break
+        gamma = gamma_new
+        rnorm2 = max(norm2 - float(corr0[support] @ gamma), 0.0)
+    return SparseCode(
+        support=np.asarray(support, dtype=np.int64),
+        values=np.asarray(gamma, dtype=np.float64),
+        residual_norm=float(np.sqrt(max(rnorm2, 0.0))),
+        degenerate=degenerate,
+    )
+
+
+def _reference_dense(C0, G, norms2, q, eps=0.0):
+    Gamma = np.zeros_like(C0, dtype=np.float64)
+    for i in range(C0.shape[1]):
+        code = _greedy_pursuit(C0[:, i], G, float(norms2[i]), q, eps)
+        Gamma[code.support, i] = code.values
+    return Gamma
 
 
 def _unit_dictionary(p, m, seed=0):
@@ -95,6 +165,9 @@ def test_omp_batch_matches_per_column():
         X = rng.standard_normal((6, 11))
         q = int(rng.integers(1, 4))
         Gamma = omp_batch(D, X, q)
+        ref = _reference_dense(D.T @ X, D.T @ D, np.sum(X * X, axis=0), q)
+        assert np.array_equal(Gamma != 0, ref != 0)
+        assert np.allclose(Gamma, ref, atol=1e-10)
         for i in range(11):
             code = omp(D, X[:, i], q)
             assert np.allclose(Gamma[:, i], code.to_dense(9), atol=1e-10)
@@ -164,23 +237,24 @@ def test_komp_batch_matches_scalar_komp():
     K_ZX = Z.T @ B
     kzz = np.sum(Z * Z, axis=0)
     Gamma = komp_batch(K, K_ZX, kzz, A, q=2)
+    ref = _reference_dense((K_ZX @ A).T, A.T @ (K @ A), kzz, 2)
+    assert np.array_equal(Gamma != 0, ref != 0)
+    assert np.allclose(Gamma, ref, atol=1e-10)
     for i in range(6):
         code = komp(K, K_ZX[i], float(kzz[i]), A, q=2)
         assert np.allclose(Gamma[:, i], code.to_dense(7), atol=1e-10)
 
 
 def test_q1_fast_path_matches_generic_loop():
-    # the vectorized single-atom path must agree with the per-column loop
+    # q=1 is the batch pursuit's first step; it must agree with the
+    # per-column reference loop
     for seed in range(15):
         rng = np.random.default_rng(seed)
         D = _unit_dictionary(6, 10, seed=seed)
         X = rng.standard_normal((6, 20))
         X[:, 0] = 0.0
         fast = omp_batch(D, X, 1)
-        slow = np.zeros((10, 20))
-        for i in range(20):
-            code = omp(D, X[:, i], 1)
-            slow[code.support, i] = code.values
+        slow = _reference_dense(D.T @ X, D.T @ D, np.sum(X * X, axis=0), 1)
         assert np.array_equal(fast != 0, slow != 0)
         assert np.allclose(fast, slow, atol=1e-12)
 
@@ -211,3 +285,79 @@ def test_residual_decreases_with_budget(seed, q):
         code = omp(D, x, budget)
         assert code.residual_norm <= prev + 1e-9
         prev = code.residual_norm
+
+
+def _assert_batch_matches_reference(C0, G, norms2, q, eps):
+    support, values, size, rnorm2, degenerate = _batch_pursuit(
+        C0, G, norms2, q, eps
+    )
+    for i in range(C0.shape[1]):
+        ref = _greedy_pursuit(C0[:, i], G, float(norms2[i]), q, eps)
+        s = int(size[i])
+        assert support[i, :s].tolist() == ref.support.tolist()
+        assert np.allclose(values[i, :s], ref.values, rtol=0.0, atol=1e-10)
+        # energies, not norms: the square root of an energy that cancels to
+        # about 1e-15 would magnify its rounding to about 1e-8
+        assert rnorm2[i] == pytest.approx(ref.residual_norm**2, abs=1e-10)
+        assert bool(degenerate[i]) == ref.degenerate
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(2, 8),
+    m=st.integers(1, 12),
+    n=st.integers(1, 6),
+    q=st.integers(1, 14),
+    eps_scale=st.sampled_from([0.0, 0.3, 0.8]),
+    zero_columns=st.booleans(),
+)
+def test_batch_pursuit_matches_reference_on_random_dictionaries(
+    seed, p, m, n, q, eps_scale, zero_columns
+):
+    # past p - 1 atoms the residual is rounding noise and the choice of the
+    # next atom is arbitrary in both pursuits. Duplicated atoms and exact
+    # ties are checked in exact arithmetic below: with rounding, the
+    # reference can break a tie between identical atoms toward the higher
+    # index, because its correlation update rounds identical rows apart
+    assume(min(q, m) < p)
+    rng = np.random.default_rng(seed)
+    D = rng.standard_normal((p, m))
+    D /= np.linalg.norm(D, axis=0)
+    X = rng.standard_normal((p, n))
+    if zero_columns:
+        X[:, rng.random(n) < 0.5] = 0.0
+    eps = eps_scale * np.sqrt(p)
+    _assert_batch_matches_reference(
+        D.T @ X, D.T @ D, np.sum(X * X, axis=0), q, eps
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 4),
+    m=st.integers(1, 8),
+    n=st.integers(1, 6),
+    q=st.integers(1, 10),
+    eps=st.sampled_from([0.0, 0.5, 2.5]),
+)
+def test_batch_pursuit_matches_reference_in_exact_arithmetic(
+    seed, p, m, n, q, eps
+):
+    # atoms drawn from {0, +-e_1, ..., +-e_p} with integer correlations and
+    # energies keep every step exact: correlations tie often (lowest index
+    # wins), repeated axes and zero atoms make the support Gram singular
+    # (pivot exactly 0: drop the atom, keep the code, flag degenerate), and
+    # zero columns are never coded
+    rng = np.random.default_rng(seed)
+    axes = rng.integers(-1, p, size=m)
+    D = np.zeros((p, m))
+    cols = np.flatnonzero(axes >= 0)
+    D[axes[cols], cols] = rng.choice([-1.0, 1.0], size=cols.size)
+    C0 = rng.integers(-3, 4, size=(m, n)).astype(np.float64)
+    norms2 = rng.integers(0, 21, size=n).astype(np.float64)
+    zero = rng.random(n) < 0.25
+    C0[:, zero] = 0.0
+    norms2[zero] = 0.0
+    _assert_batch_matches_reference(C0, D.T @ D, norms2, q, eps)
