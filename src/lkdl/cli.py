@@ -112,8 +112,7 @@ def cmd_preprocess(cfg) -> int:
 def cmd_train(cfg) -> int:
     from pathlib import Path
 
-    from . import experiment, lcksvd, serialization
-    from .classify import train_per_class
+    from . import experiment, serialization
 
     if cfg.pipeline == "kernel_baseline":
         raise SystemExit(
@@ -122,37 +121,18 @@ def cmd_train(cfg) -> int:
         )
     train, test = experiment.load_split(cfg)
     seed = experiment.derive_seeds(cfg.seed, 1)[0]
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    nmap, F_train = None, train.samples
     if cfg.pipeline == "lkdl":
         nmap, F_train, _ = experiment.preprocess(
             cfg, train.samples, test.samples, seed
         )
+    # an unknown learner type raises here, before anything is written
+    model = experiment.train_learner(cfg.learner, F_train, train.labels, seed)
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    if nmap is not None:
         serialization.save_nystrom_map(nmap, out / "nystrom_map.lkdl")
-    else:
-        F_train = train.samples
-    learner = dict(cfg.learner)
-    kind = learner.pop("type", "per_class")
-    if kind == "per_class":
-        model = train_per_class(
-            F_train, train.labels,
-            m_per_class=learner.get("m_per_class", 50),
-            q=learner.get("q", 5),
-            iterations=learner.get("iterations", 5),
-            method=learner.get("method", "ksvd"),
-            seed=seed,
-        )
-        serialization.save_class_model(model, out / "model.lkdl")
-    else:
-        model = lcksvd.train(
-            F_train, train.labels,
-            m=learner.get("m", 60), q=learner.get("q", 5),
-            alpha=learner.get("alpha", 1.0), beta=learner.get("beta", 1.0),
-            iterations=learner.get("iterations", 5),
-            variant=learner.get("variant", 2),
-            tau2=learner.get("tau2", 1e-4), seed=seed,
-        )
-        serialization.save_lcksvd_model(model, out / "model.lkdl")
+    serialization.save_model(model, out / "model.lkdl")
     experiment.write_manifest(cfg, out / "manifest.json", {"stage": "train"})
     print(f"wrote model to {out / 'model.lkdl'}")
     return 0

@@ -4,7 +4,9 @@ Two linear updates are provided: the batch least-squares update
 D = X Gamma^+ (method of optimal directions) and the atom-by-atom rank-1
 update (K-SVD). The kernelized learner replaces the dictionary with a
 coefficient dictionary A and updates it as A = Gamma^+, coding with KOMP;
-this is the learning scheme used as the exact-kernel baseline.
+this is the learning scheme used as the exact-kernel baseline. Both run one
+alternation (``_alternate``): the kernel learner is the linear scheme in the
+inner-product space given by K.
 """
 
 from __future__ import annotations
@@ -174,6 +176,37 @@ def ksvd_update(X: np.ndarray, D: np.ndarray, Gamma: np.ndarray):
     return D, Gamma, replaced
 
 
+def _column_errors(X, D, Gamma) -> np.ndarray:
+    """Per-column squared residuals of X ~ D Gamma."""
+    return np.sum((X - D @ Gamma) ** 2, axis=0)
+
+
+def _clear_atoms(M, Gamma, err, replace, mu_thresh, use_thresh) -> int:
+    """Replace degenerate atoms, given their Gram matrix M: near-duplicates
+    (|M_ij| above ``mu_thresh``) and atoms used by fewer than ``use_thresh``
+    signals are swapped, in atom order, for the signals with the largest
+    errors ``err``. ``replace(j, w)`` makes atom j the normalized signal w
+    and returns atom j's new Gram row, or None if signal w is zero (the
+    next-worst signal is tried). Returns the number of replaced atoms."""
+    order = np.argsort(err)[::-1]
+    next_worst = 0
+    replaced = 0
+    usage = np.sum(np.abs(Gamma) > 1e-7, axis=1)
+    for j in range(M.shape[0]):
+        G_j = np.abs(M[:, j])
+        G_j[j] = 0.0
+        if G_j.max() > mu_thresh or usage[j] < use_thresh:
+            while next_worst < order.size:
+                row = replace(j, int(order[next_worst]))
+                next_worst += 1
+                if row is not None:
+                    M[j, :] = row
+                    M[:, j] = row
+                    replaced += 1
+                    break
+    return replaced
+
+
 def clear_dictionary(
     X: np.ndarray,
     D: np.ndarray,
@@ -185,25 +218,67 @@ def clear_dictionary(
     ``mu_thresh``) and atoms used by fewer than ``use_thresh`` signals are
     swapped for the currently worst-represented signals, normalized."""
     D = np.array(D, dtype=np.float64)
-    R = X - D @ Gamma
-    err = np.sum(R * R, axis=0)
-    order = np.argsort(err)[::-1]
-    next_worst = 0
-    replaced = 0
-    usage = np.sum(np.abs(Gamma) > 1e-7, axis=1)
-    for j in range(D.shape[1]):
-        G_j = np.abs(D.T @ D[:, j])
-        G_j[j] = 0.0
-        if G_j.max() > mu_thresh or usage[j] < use_thresh:
-            while next_worst < order.size:
-                col = X[:, order[next_worst]]
-                next_worst += 1
-                norm = np.linalg.norm(col)
-                if norm > 0:
-                    D[:, j] = col / norm
-                    replaced += 1
-                    break
+
+    def replace(j, w):
+        norm = np.linalg.norm(X[:, w])
+        if not norm > 0:
+            return None
+        D[:, j] = X[:, w] / norm
+        return D.T @ D[:, j]
+
+    replaced = _clear_atoms(
+        D.T @ D, Gamma, _column_errors(X, D, Gamma), replace,
+        mu_thresh, use_thresh,
+    )
     return D, replaced
+
+
+def _alternate(atoms, iterations, code, errors, update, clear):
+    """Alternate sparse coding and dictionary updates in one inner-product
+    space, which supplies four steps:
+
+    * ``code(atoms)`` -> codes of all signals;
+    * ``errors(atoms, Gamma)`` -> per-signal squared residuals, whose sum
+      is the objective;
+    * ``update(atoms, Gamma)`` -> (atoms, Gamma, replaced atoms);
+    * ``clear(atoms, Gamma)`` -> (atoms, replaced atoms).
+
+    The first pass reuses the initial coding. Later passes clear degenerate
+    atoms first and fall back to the plain pass if that raised the
+    objective. Re-coding keeps the previous code of any signal it would
+    make worse, so the plain pass cannot increase the objective.
+    Returns (atoms, Gamma, LearnReport).
+    """
+    report = LearnReport(iterations=iterations)
+    Gamma = code(atoms)
+    obj = float(np.sum(errors(atoms, Gamma)))
+    report.objective_trace.append(obj)
+
+    def step(cur, G, Gamma_prev=None):
+        if Gamma_prev is not None:
+            worse = errors(cur, G) > errors(cur, Gamma_prev)
+            G[:, worse] = Gamma_prev[:, worse]
+        new, G, rep = update(cur, G)
+        return new, G, rep, float(np.sum(errors(new, G)))
+
+    for t in range(iterations):
+        if t == 0:
+            new, G_new, rep, obj_new = step(atoms, Gamma)
+        else:
+            cleared_atoms, cleared = clear(atoms, Gamma)
+            new, G_new, rep, obj_new = step(
+                cleared_atoms, code(cleared_atoms),
+                Gamma if cleared == 0 else None,
+            )
+            rep += cleared
+            if obj_new > obj * (1 + 1e-12) and cleared > 0:
+                new, G_new, rep, obj_new = step(atoms, code(atoms), Gamma)
+        if not np.isfinite(obj_new):
+            raise FloatingPointError("non-finite learning objective")
+        atoms, Gamma, obj = new, G_new, obj_new
+        report.replaced_atoms += rep
+        report.objective_trace.append(obj)
+    return atoms, Gamma, report
 
 
 def learn(
@@ -232,54 +307,20 @@ def learn(
         D = np.array(init, dtype=np.float64)
         if D.shape != (X.shape[0], m):
             raise ValueError("provided initial dictionary has wrong shape")
-    report = LearnReport(iterations=iterations)
-    Gamma = omp_batch(D, X, q, eps)
-    obj = reconstruction_objective(X, D, Gamma)
-    report.objective_trace.append(obj)
 
-    def step(D_cur, Gamma_prev):
-        """One coding + update pass. Coding keeps the previous code of any
-        column it would make worse, so the pass cannot increase the
-        objective when D_cur is the dictionary Gamma_prev refers to."""
-        G = omp_batch(D_cur, X, q, eps)
-        if Gamma_prev is not None:
-            old = np.sum((X - D_cur @ Gamma_prev) ** 2, axis=0)
-            new = np.sum((X - D_cur @ G) ** 2, axis=0)
-            worse = new > old
-            if np.any(worse):
-                G[:, worse] = Gamma_prev[:, worse]
+    def update(D_cur, G):
         if method == "mod":
-            D_out, G, _ = mod_update(X, G)
-            rep = 0
-        else:
-            D_out, G, rep = ksvd_update(X, D_cur, G)
-        return D_out, G, rep, reconstruction_objective(X, D_out, G)
+            D_new, G, _ = mod_update(X, G)
+            return D_new, G, 0
+        return ksvd_update(X, D_cur, G)
 
-    for t in range(iterations):
-        if t == 0:
-            # first pass reuses the initial coding
-            if method == "mod":
-                D_new, G_new, _ = mod_update(X, Gamma)
-                rep = 0
-            else:
-                D_new, G_new, rep = ksvd_update(X, D, Gamma)
-            obj_new = reconstruction_objective(X, D_new, G_new)
-        else:
-            # try escaping degenerate atoms first; fall back to the plain
-            # (provably non-increasing) pass if that raised the objective
-            D_cleared, cleared = clear_dictionary(X, D, Gamma)
-            D_new, G_new, rep, obj_new = step(
-                D_cleared, Gamma if cleared == 0 else None
-            )
-            rep += cleared
-            if obj_new > obj * (1 + 1e-12) and cleared > 0:
-                D_new, G_new, rep, obj_new = step(D, Gamma)
-        if not np.isfinite(obj_new):
-            raise FloatingPointError("non-finite learning objective")
-        D, Gamma, obj = D_new, G_new, obj_new
-        report.replaced_atoms += rep
-        report.objective_trace.append(obj)
-    return D, Gamma, report
+    return _alternate(
+        D, iterations,
+        code=lambda D_cur: omp_batch(D_cur, X, q, eps),
+        errors=lambda D_cur, G: _column_errors(X, D_cur, G),
+        update=update,
+        clear=lambda D_cur, G: clear_dictionary(X, D_cur, G),
+    )
 
 
 def kernel_objective(K: np.ndarray, A: np.ndarray, Gamma: np.ndarray) -> float:
@@ -313,34 +354,23 @@ def clear_coefficient_dictionary(
     """Kernel-domain mirror of clear_dictionary: degenerate feature-space
     atoms are replaced by the worst-represented mapped signals."""
     A = np.array(A, dtype=np.float64)
-    err = _kernel_column_errors(K, kdiag, A, Gamma)
-    order = np.argsort(err)[::-1]
-    next_worst = 0
-    replaced = 0
-    usage = np.sum(np.abs(Gamma) > 1e-7, axis=1)
     KA = K @ A
-    M = A.T @ KA
-    for j in range(A.shape[1]):
-        G_j = np.abs(M[:, j])
-        G_j[j] = 0.0
-        if G_j.max() > mu_thresh or usage[j] < use_thresh:
-            while next_worst < order.size:
-                w = int(order[next_worst])
-                next_worst += 1
-                norm = np.sqrt(max(kdiag[w], 0.0))
-                if norm > 0:
-                    A[:, j] = 0.0
-                    A[w, j] = 1.0 / norm
-                    # replacing one column only touches row/column j of
-                    # M = A^T K A; the new atom is e_w / norm, so the new
-                    # row is K[w] A / norm -- an O(n + m) update instead of
-                    # recomputing the full product
-                    KA[:, j] = K[:, w] / norm
-                    row = KA[w, :] / norm
-                    M[j, :] = row
-                    M[:, j] = row
-                    replaced += 1
-                    break
+
+    def replace(j, w):
+        norm = np.sqrt(max(kdiag[w], 0.0))
+        if not norm > 0:
+            return None
+        A[:, j] = 0.0
+        A[w, j] = 1.0 / norm
+        # the new atom is e_w / norm, so its Gram row is K[w] A / norm: an
+        # O(n + m) update instead of recomputing A^T K A
+        KA[:, j] = K[:, w] / norm
+        return KA[w, :] / norm
+
+    replaced = _clear_atoms(
+        A.T @ KA, Gamma, _kernel_column_errors(K, kdiag, A, Gamma), replace,
+        mu_thresh, use_thresh,
+    )
     return A, replaced
 
 
@@ -358,9 +388,9 @@ def kernel_mod_learn(
 
     ``K_XX`` is the train-set kernel matrix. The coefficient dictionary is
     initialized from m random identity columns (atoms are mapped training
-    samples). The iteration structure (guarded coding, degenerate-atom
-    clearing with fallback) mirrors ``learn``, so with a linear kernel the
-    two produce the same objective sequence. Returns (A, Gamma, LearnReport).
+    samples). The alternation is the one ``learn`` runs, in the space given
+    by K, so with a linear kernel the two produce the same objective
+    sequence. Returns (A, Gamma, LearnReport).
     """
     K = np.asarray(K_XX, dtype=np.float64)
     n = K.shape[0]
@@ -374,47 +404,17 @@ def kernel_mod_learn(
     A[idx, np.arange(m)] = 1.0
     A = normalize_coefficient_dictionary(A, K)
     kdiag = np.diag(K).copy()
-    report = LearnReport(iterations=iterations)
-    Gamma = komp_batch(K, K, kdiag, A, q, eps)
-    obj = kernel_objective(K, A, Gamma)
-    report.objective_trace.append(obj)
 
-    def update(G):
+    def update(A_cur, G):
         A_new, _ = _pinv_cutoff(G)
         norms = np.sqrt(np.maximum(np.einsum("ij,ij->j", A_new, K @ A_new), 0.0))
         scale = np.where(norms > 0, norms, 1.0)
-        return A_new / scale, G * scale[:, None]
+        return A_new / scale, G * scale[:, None], 0
 
-    def step(A_cur, Gamma_prev):
-        G = komp_batch(K, K, kdiag, A_cur, q, eps)
-        if Gamma_prev is not None:
-            old = _kernel_column_errors(K, kdiag, A_cur, Gamma_prev)
-            new = _kernel_column_errors(K, kdiag, A_cur, G)
-            worse = new > old
-            if np.any(worse):
-                G[:, worse] = Gamma_prev[:, worse]
-        A_new, G = update(G)
-        return A_new, G, kernel_objective(K, A_new, G)
-
-    for t in range(iterations):
-        if t == 0:
-            A_new, G_new = update(Gamma)
-            obj_new = kernel_objective(K, A_new, G_new)
-            rep = 0
-        else:
-            A_cleared, cleared = clear_coefficient_dictionary(
-                K, kdiag, A, Gamma
-            )
-            A_new, G_new, obj_new = step(
-                A_cleared, Gamma if cleared == 0 else None
-            )
-            rep = cleared
-            if obj_new > obj * (1 + 1e-12) and cleared > 0:
-                A_new, G_new, obj_new = step(A, Gamma)
-                rep = 0
-        if not np.isfinite(obj_new):
-            raise FloatingPointError("non-finite kernel learning objective")
-        A, Gamma, obj = A_new, G_new, obj_new
-        report.replaced_atoms += rep
-        report.objective_trace.append(obj)
-    return A, Gamma, report
+    return _alternate(
+        A, iterations,
+        code=lambda A_cur: komp_batch(K, K, kdiag, A_cur, q, eps),
+        errors=lambda A_cur, G: _kernel_column_errors(K, kdiag, A_cur, G),
+        update=update,
+        clear=lambda A_cur, G: clear_coefficient_dictionary(K, kdiag, A_cur, G),
+    )

@@ -48,6 +48,13 @@ CSV_FIELDS = [
     "accuracy", "t_preprocess", "t_train", "t_test",
 ]
 
+#: Defaults of the ``learner`` config keys, shared by every learner and by
+#: the kernel baseline.
+LEARNER_DEFAULTS = {
+    "type": "per_class", "m_per_class": 50, "m": 60, "q": 5, "iterations": 5,
+    "method": "ksvd", "alpha": 1.0, "beta": 1.0, "variant": 2, "tau2": 1e-4,
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -230,39 +237,33 @@ def kernel_baseline_classify(
     return model.labels[np.argmin(res, axis=0)]
 
 
+def train_learner(learner: dict, F_train, y_train, seed: int):
+    """Train the learner a ``learner`` config section names (``type``
+    ``per_class`` or ``lcksvd``) on feature columns."""
+    s = {**LEARNER_DEFAULTS, **learner}
+    if s["type"] == "per_class":
+        return train_per_class(
+            F_train, y_train, s["m_per_class"], s["q"], s["iterations"],
+            method=s["method"], seed=seed,
+        )
+    if s["type"] == "lcksvd":
+        return _lcksvd.train(
+            F_train, y_train, s["m"], s["q"], s["alpha"], s["beta"],
+            s["iterations"], variant=s["variant"], tau2=s["tau2"], seed=seed,
+        )
+    raise ValueError(f"unknown learner type: {s['type']!r}")
+
+
 def _train_and_classify(config, F_train, y_train, F_test, seed):
     """Train the configured learner on features and predict test labels.
     Returns (t_train, t_test, predictions)."""
-    learner = dict(config.learner)
-    kind = learner.pop("type", "per_class")
     t0 = time.monotonic()
-    if kind == "per_class":
-        model = train_per_class(
-            F_train, y_train,
-            m_per_class=learner.get("m_per_class", 50),
-            q=learner.get("q", 5),
-            iterations=learner.get("iterations", 5),
-            method=learner.get("method", "ksvd"),
-            seed=seed,
-        )
-        t1 = time.monotonic()
-        pred = classify_batch(model, F_test)
-    elif kind == "lcksvd":
-        model = _lcksvd.train(
-            F_train, y_train,
-            m=learner.get("m", 60),
-            q=learner.get("q", 5),
-            alpha=learner.get("alpha", 1.0),
-            beta=learner.get("beta", 1.0),
-            iterations=learner.get("iterations", 5),
-            variant=learner.get("variant", 2),
-            tau2=learner.get("tau2", 1e-4),
-            seed=seed,
-        )
-        t1 = time.monotonic()
+    model = train_learner(config.learner, F_train, y_train, seed)
+    t1 = time.monotonic()
+    if isinstance(model, _lcksvd.LCKSVDModel):
         pred = _lcksvd.predict_batch(model, F_test)
     else:
-        raise ValueError(f"unknown learner type: {kind!r}")
+        pred = classify_batch(model, F_test)
     t2 = time.monotonic()
     return t1 - t0, t2 - t1, pred
 
@@ -287,15 +288,13 @@ def run_single(config: ExperimentConfig, train, test, seed: int) -> dict:
         )
     else:
         # exact-kernel baseline; submatrix construction counts as training
-        learner = config.learner
+        s = {**LEARNER_DEFAULTS, **config.learner}
         t_pre = 0.0
         t1 = time.monotonic()
         model = kernel_baseline_train(
             train.samples, train.labels, config.kernel,
-            m_per_class=learner.get("m_per_class", 50),
-            q=learner.get("q", 5),
-            iterations=learner.get("iterations", 2),
-            seed=seed,
+            m_per_class=s["m_per_class"], q=s["q"],
+            iterations=s["iterations"], seed=seed,
         )
         t_train = time.monotonic() - t1
         t2 = time.monotonic()

@@ -156,6 +156,14 @@ def load_class_model(path) -> ClassDictionaryModel:
     return ClassDictionaryModel(labels=labels, dictionaries=dictionaries, q=q)
 
 
+def save_model(model: ClassDictionaryModel | LCKSVDModel, path) -> None:
+    """Save a classifier of either kind in its own container."""
+    if isinstance(model, LCKSVDModel):
+        save_lcksvd_model(model, path)
+    else:
+        save_class_model(model, path)
+
+
 def load_model(path) -> ClassDictionaryModel | LCKSVDModel:
     """Load a classifier container of either kind: a per-class model or an
     LC-KSVD model."""

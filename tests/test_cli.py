@@ -139,6 +139,16 @@ def test_train_refuses_kernel_baseline_pipeline(mixture_config, tmp_path):
     assert not (out / "model.lkdl").exists()
 
 
+def test_train_refuses_unknown_learner_type(mixture_config, tmp_path):
+    # an unknown learner type must not fall back to another learner, and
+    # nothing (not even the map) is written before the refusal
+    out = tmp_path / "model_dir"
+    with pytest.raises(ValueError, match="unknown learner type: 'foo'"):
+        main(["train", "--config", str(mixture_config), "--out", str(out),
+              "--set", "learner.type=foo"])
+    assert not list(tmp_path.rglob("*.lkdl"))
+
+
 @pytest.mark.parametrize("learner, column", [
     ("per_class", "residual"),
     ("lcksvd", "score"),

@@ -164,12 +164,21 @@ def test_clear_dictionary_replaces_duplicates_and_unused():
 
 
 def test_kernel_learn_matches_linear_on_planted_data():
-    ds, _, _ = synth_planted_sparse(12, 150, 10, 2, seed=3, max_coherence=0.6)
-    X = ds.samples
-    _, _, rep_lin = learn(X, 10, 2, 6, method="mod", seed=4)
-    _, _, rep_ker = kernel_mod_learn(X.T @ X, 10, 2, 6, seed=4)
-    a, b = rep_lin.objective_trace[-1], rep_ker.objective_trace[-1]
-    assert abs(a - b) <= 1e-6 * max(a, 1e-12)
+    # kernel learning is the linear alternation in the space K = X^T X:
+    # every objective of the trace and the replaced-atom count agree
+    replaced = 0
+    for n, data_seed, seed in ((150, 3, 4), (180, 0, 1)):
+        ds, _, _ = synth_planted_sparse(12, n, 10, 2, seed=data_seed,
+                                        max_coherence=0.6)
+        X = ds.samples
+        _, _, rep_lin = learn(X, 10, 2, 6, method="mod", seed=seed)
+        _, _, rep_ker = kernel_mod_learn(X.T @ X, 10, 2, 6, seed=seed)
+        assert rep_ker.objective_trace == pytest.approx(
+            rep_lin.objective_trace, rel=1e-9
+        )
+        assert rep_ker.replaced_atoms == rep_lin.replaced_atoms
+        replaced += rep_lin.replaced_atoms
+    assert replaced > 0  # the clearing step took part
 
 
 def test_kernel_learn_zero_iterations_objective_formula():
@@ -224,6 +233,11 @@ def test_clear_coefficient_dictionary_mirrors_linear_clearing():
     M = A2.T @ K @ A2
     off = np.abs(M - np.diag(np.diag(M)))
     assert off.max() <= 0.99 * np.sqrt(np.diag(M).max() * np.diag(M).min()) + 1e-9
+    # with K = X^T X the feature-space atoms are the columns of D = X A, and
+    # the linear clearing replaces the same atoms by the same signals
+    D2, replaced_lin = clear_dictionary(X, X @ A, Gamma)
+    assert replaced_lin == replaced
+    assert np.abs(X @ A2 - D2).max() <= 1e-12
 
 
 def test_learn_rejects_unknown_method():

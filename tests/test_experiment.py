@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from lkdl import experiment
 from lkdl.experiment import (
     CSV_FIELDS,
     RNG_NAME,
@@ -12,6 +13,7 @@ from lkdl.experiment import (
     kernel_baseline_train,
     load_split,
     run_experiment,
+    run_single,
     run_sweep,
     write_csv,
     write_manifest,
@@ -111,6 +113,33 @@ def test_kernel_baseline_train_classify_direct():
     assert model.labels.tolist() == [1, 2]
     pred = kernel_baseline_classify(model, test.samples)
     assert np.mean(pred == test.labels) >= 0.95
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_pipelines_share_learner_defaults(monkeypatch):
+    # a config that omits m_per_class / q / iterations gets the same values
+    # in every pipeline (the kernel baseline used to run 2 iterations)
+    seen = {}
+
+    def kernel_baseline(X, labels, kernel, m_per_class, q, iterations, seed):
+        seen["kernel_baseline"] = (m_per_class, q, iterations)
+        raise _Stop
+
+    def per_class(F, labels, m_per_class, q, iterations, method, seed):
+        seen["per_class"] = (m_per_class, q, iterations)
+        raise _Stop
+
+    monkeypatch.setattr(experiment, "kernel_baseline_train", kernel_baseline)
+    monkeypatch.setattr(experiment, "train_per_class", per_class)
+    for pipeline in ("kernel_baseline", "lkdl"):
+        cfg = _mixture_config(pipeline=pipeline, learner={})
+        train, test = load_split(cfg)
+        with pytest.raises(_Stop):
+            run_single(cfg, train, test, seed=0)
+    assert seen == {"kernel_baseline": (50, 5, 5), "per_class": (50, 5, 5)}
 
 
 def test_run_sweep_c_over_n_rows(tmp_path):

@@ -13,11 +13,13 @@ from lkdl.serialization import (
     load_coefficient_dictionary,
     load_dictionary,
     load_lcksvd_model,
+    load_model,
     load_nystrom_map,
     save_class_model,
     save_coefficient_dictionary,
     save_dictionary,
     save_lcksvd_model,
+    save_model,
     save_nystrom_map,
 )
 
@@ -67,12 +69,15 @@ def test_class_model_round_trip(tmp_path):
         q=2,
     )
     f = tmp_path / "model.lkdl"
-    save_class_model(model, f)
-    back = load_class_model(f)
-    assert back.labels.tolist() == [1, 3, 9]
-    assert back.q == 2
-    for a, b in zip(back.dictionaries, model.dictionaries):
-        assert np.array_equal(a, b)
+    for save, load in ((save_class_model, load_class_model),
+                       (save_model, load_model)):
+        save(model, f)
+        back = load(f)
+        assert isinstance(back, ClassDictionaryModel)
+        assert back.labels.tolist() == [1, 3, 9]
+        assert back.q == 2
+        for a, b in zip(back.dictionaries, model.dictionaries):
+            assert np.array_equal(a, b)
 
 
 def test_lcksvd_model_round_trip(tmp_path):
@@ -86,16 +91,19 @@ def test_lcksvd_model_round_trip(tmp_path):
         atom_scales=rng.uniform(0.5, 2.0, 8),
     )
     f = tmp_path / "lcksvd.lkdl"
-    save_lcksvd_model(model, f)
-    back = load_lcksvd_model(f)
-    assert np.array_equal(back.D, model.D)
-    assert np.array_equal(back.T, model.T)
-    assert np.array_equal(back.Theta, model.Theta)
-    assert np.array_equal(back.atom_scales, model.atom_scales)
-    assert back.classes.tolist() == [1, 2, 3]
-    assert (back.variant, back.q) == (2, 3)
-    assert back.sqrt_alpha == 1.5 and back.sqrt_beta == 0.5
-    assert back.tau2 == 1e-4
+    for save, load in ((save_lcksvd_model, load_lcksvd_model),
+                       (save_model, load_model)):
+        save(model, f)
+        back = load(f)
+        assert isinstance(back, LCKSVDModel)
+        assert np.array_equal(back.D, model.D)
+        assert np.array_equal(back.T, model.T)
+        assert np.array_equal(back.Theta, model.Theta)
+        assert np.array_equal(back.atom_scales, model.atom_scales)
+        assert back.classes.tolist() == [1, 2, 3]
+        assert (back.variant, back.q) == (2, 3)
+        assert back.sqrt_alpha == 1.5 and back.sqrt_beta == 0.5
+        assert back.tau2 == 1e-4
 
 
 def test_header_magic_and_version(tmp_path):
