@@ -56,20 +56,26 @@ def _check_c(c: int, n: int) -> None:
 def _weighted_without_replacement(
     weights: np.ndarray, c: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Sequential draw-and-renormalize; exact, O(cN)."""
-    p = weights.astype(np.float64).copy()
-    if np.any(p < 0):
-        raise ValueError("negative sampling weight")
-    total = p.sum()
-    if total <= 0:
-        raise ValueError("all sampling weights are zero")
-    chosen = np.empty(c, dtype=np.int64)
-    for t in range(c):
-        p_norm = p / p.sum()
-        idx = rng.choice(p.size, p=p_norm)
-        chosen[t] = idx
-        p[idx] = 0.0
-    return chosen
+    """c distinct indices drawn one at a time with probability proportional
+    to their weight among those not yet drawn, in draw order.
+
+    Efraimidis & Spirakis (IPL 2006) exponential keys: index i draws
+    E_i / w_i with E_i ~ Exp(1), and the c smallest keys are the draws. One
+    O(N log N) pass; zero weights are never drawn.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise ValueError("sampling weights must be finite and non-negative")
+    positive = w > 0
+    n_pos = int(np.count_nonzero(positive))
+    if n_pos < c:
+        raise ValueError(
+            f"only {n_pos} of {w.size} sampling weights are positive; cannot "
+            f"draw c={c} landmarks without replacement"
+        )
+    keys = np.full(w.size, np.inf)
+    keys[positive] = rng.standard_exponential(n_pos) / w[positive]
+    return np.argsort(keys, kind="stable")[:c]
 
 
 def sample_uniform(X: np.ndarray, c: int, seed: int) -> LandmarkSet:
@@ -165,6 +171,10 @@ def sample_coreset(X: np.ndarray, c: int, seed: int) -> LandmarkSet:
     return LandmarkSet(X[:, idx].copy(), idx)
 
 
+#: Points per block of the k-means distance matrix.
+_BLOCK = 512
+
+
 def kmeans(
     X: np.ndarray,
     c: int,
@@ -177,6 +187,9 @@ def kmeans(
     Deterministic given the seed: assignment ties go to the lowest-index
     center, and empty clusters are re-seeded from the point farthest from
     its assigned center. Returns a p x c matrix of centers.
+
+    An iteration costs O(pNc) BLAS work and O(_BLOCK * c) scratch: point-to-
+    center distances are formed _BLOCK points at a time, never as N x c.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     p, n = X.shape
@@ -189,32 +202,49 @@ def kmeans(
     centers = np.empty((p, c))
     centers[:, 0] = X[:, rng.integers(n)]
     d2 = np.sum((X - centers[:, [0]]) ** 2, axis=0)
+    diff, d2_j = np.empty_like(X), np.empty(n)
     for j in range(1, c):
         total = d2.sum()
         if total <= 0:
             centers[:, j] = X[:, rng.integers(n)]
             continue
         centers[:, j] = X[:, rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((X - centers[:, [j]]) ** 2, axis=0))
+        np.subtract(X, centers[:, [j]], out=diff)
+        np.square(diff, out=diff)
+        np.minimum(d2, np.sum(diff, axis=0, out=d2_j), out=d2)
 
+    Xt = np.ascontiguousarray(X.T)
     sq_x = np.sum(X * X, axis=0)
+    block = np.empty((min(_BLOCK, n), c))
+    assign = np.empty(n, dtype=np.intp)
+    own = np.empty(n)  # squared distance to the assigned center, less sq_x
     for _ in range(max_iters):
-        # squared distances to each center; argmin breaks ties low-index
         sq_c = np.sum(centers * centers, axis=0)
-        dist = sq_c[None, :] - 2.0 * (X.T @ centers)
-        assign = np.argmin(dist, axis=1)
+        minus_2c = -2.0 * centers
+        for start in range(0, n, _BLOCK):
+            stop = min(start + _BLOCK, n)
+            # ||c_j||^2 - 2 x_i.c_j; scaling by -2 is exact, so these rows
+            # equal those of sq_c - 2 (X.T @ centers) bit for bit
+            rows = block[: stop - start]
+            np.matmul(Xt[start:stop], minus_2c, out=rows)
+            rows += sq_c
+            a = np.argmin(rows, axis=1)  # ties go to the lowest index
+            assign[start:stop] = a
+            own[start:stop] = rows[np.arange(stop - start), a]
+        counts = np.bincount(assign, minlength=c)
+        # per-center sums; bincount adds each center's members in point order
+        sums = np.stack([np.bincount(assign, weights=x, minlength=c) for x in X])
         new_centers = centers.copy()
-        for j in range(c):
-            members = assign == j
-            if np.any(members):
-                new_centers[:, j] = X[:, members].mean(axis=1)
-        # re-seed empty clusters from the worst-represented point
-        full_dist = dist + sq_x[:, None]
-        for j in range(c):
-            if not np.any(assign == j):
-                worst = int(np.argmax(full_dist[np.arange(n), assign]))
-                new_centers[:, j] = X[:, worst]
-                assign[worst] = j
+        np.divide(sums, counts, out=new_centers, where=counts > 0)
+        empty = counts == 0
+        if empty.any():
+            # re-seed empty clusters from the point farthest from its assigned
+            # center. Re-seeding them one at a time, each from the point then
+            # farthest, picks this point every time: moving it to another
+            # center only raises its distance (its own center was the
+            # nearest), and a cluster it leaves empty had it as its only
+            # member and mean
+            new_centers[:, empty] = X[:, [int(np.argmax(own + sq_x))]]
         shift = np.sqrt(np.sum((new_centers - centers) ** 2, axis=0)).max()
         centers = new_centers
         if shift <= tol:

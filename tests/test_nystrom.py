@@ -98,6 +98,16 @@ def test_rank_truncation_warns_and_flags():
     assert nmap.k == 1
 
 
+def test_kmeans_duplicate_centers_truncate_rank():
+    # three distinct points cannot give five distinct k-means centers, so W
+    # has rank 3 under the Gaussian kernel and k = 5 is cut to 3
+    X = np.repeat(np.array([[0.0, 3.0, 0.0], [0.0, 0.0, 3.0]]), 4, axis=1)
+    with pytest.warns(UserWarning, match="numerical rank 3"):
+        nmap = fit(X, GAUSS, SamplerSpec(method="kmeans", c=5, seed=0), k=5)
+    assert nmap.truncated is True
+    assert nmap.k == 3
+
+
 def test_indefinite_matrix_rejected():
     with pytest.raises(ValueError, match="indefinite"):
         exact_virtual_samples(np.diag([1.0, -1.0]), 2)

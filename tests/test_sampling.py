@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lkdl.datasets import synth_gaussian_mixture
 from lkdl.kernels import KernelSpec
 from lkdl.sampling import (
     SamplerSpec,
+    _weighted_without_replacement,
     column_norm_weights,
     coreset_weights,
     kmeans,
@@ -21,6 +23,62 @@ GAUSS = KernelSpec(kind="gaussian", sigma=1.0)
 
 def _rand(p, n, seed=0):
     return np.random.default_rng(seed).standard_normal((p, n))
+
+
+# Reference: the Lloyd loop the blocked one replaced, with an N x c distance
+# matrix and a Python loop over centers for the update and the re-seed. Its
+# member mean adds in point order, as bincount does, except for p = 1, where
+# numpy sums the contiguous 1 x m member row pairwise; so the comparisons
+# below use p >= 2 or small-integer coordinates, whose sums are exact.
+
+def _reference_kmeans(
+    X: np.ndarray,
+    c: int,
+    seed: int,
+    max_iters: int = 100,
+    tol: float = 1e-6,
+) -> np.ndarray:
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    p, n = X.shape
+    if c == n:
+        return X.copy()
+    rng = np.random.Generator(np.random.PCG64(seed))
+
+    # k-means++ initialization
+    centers = np.empty((p, c))
+    centers[:, 0] = X[:, rng.integers(n)]
+    d2 = np.sum((X - centers[:, [0]]) ** 2, axis=0)
+    for j in range(1, c):
+        total = d2.sum()
+        if total <= 0:
+            centers[:, j] = X[:, rng.integers(n)]
+            continue
+        centers[:, j] = X[:, rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, np.sum((X - centers[:, [j]]) ** 2, axis=0))
+
+    sq_x = np.sum(X * X, axis=0)
+    for _ in range(max_iters):
+        # squared distances to each center; argmin breaks ties low-index
+        sq_c = np.sum(centers * centers, axis=0)
+        dist = sq_c[None, :] - 2.0 * (X.T @ centers)
+        assign = np.argmin(dist, axis=1)
+        new_centers = centers.copy()
+        for j in range(c):
+            members = assign == j
+            if np.any(members):
+                new_centers[:, j] = X[:, members].mean(axis=1)
+        # re-seed empty clusters from the worst-represented point
+        full_dist = dist + sq_x[:, None]
+        for j in range(c):
+            if not np.any(assign == j):
+                worst = int(np.argmax(full_dist[np.arange(n), assign]))
+                new_centers[:, j] = X[:, worst]
+                assign[worst] = j
+        shift = np.sqrt(np.sum((new_centers - centers) ** 2, axis=0)).max()
+        centers = new_centers
+        if shift <= tol:
+            break
+    return centers
 
 
 def test_uniform_c_equals_n_is_permutation():
@@ -113,6 +171,87 @@ def test_kmeans_two_separated_clouds():
 def test_kmeans_deterministic_by_seed():
     X = _rand(3, 40)
     assert np.array_equal(kmeans(X, 5, seed=9), kmeans(X, 5, seed=9))
+
+
+@pytest.mark.parametrize("c", [1, 3, 17, 60])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_kmeans_matches_reference_on_gaussian_mixtures(c, seed):
+    # 1200 points span three distance blocks, the last one partial
+    X = synth_gaussian_mixture(300, 4, 5, spread=2.0, seed=seed).samples
+    assert np.array_equal(kmeans(X, c, seed), _reference_kmeans(X, c, seed))
+
+
+def test_kmeans_matches_reference_when_reseeding():
+    # six distinct points, each repeated 200 times: with c = 10 the surplus
+    # centers coincide, lose every tie and are re-seeded; the distances of
+    # points to their own centers are then rounding residues, spread over
+    # all three distance blocks
+    X = np.repeat(_rand(2, 6, seed=3), 200, axis=1)
+    X = X[:, np.random.default_rng(0).permutation(X.shape[1])]
+    for seed in range(3):
+        assert np.array_equal(kmeans(X, 10, seed), _reference_kmeans(X, 10, seed))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    p=st.integers(1, 3),
+    columns=st.lists(
+        st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=1, max_size=6
+    ),
+    repeats=st.lists(st.integers(0, 5), min_size=2, max_size=24),
+    extra_c=st.integers(0, 4),
+    max_iters=st.integers(0, 6),
+)
+@example(  # the re-seed takes the only member of a lower-index cluster
+    seed=0, p=1, columns=[[5, 0, 0], [0, 0, 0]], repeats=[0] + [1] * 7,
+    extra_c=1, max_iters=3,
+)
+def test_kmeans_matches_reference_on_integer_points(
+    seed, p, columns, repeats, extra_c, max_iters
+):
+    # exact arithmetic on small-integer coordinates with repeated columns:
+    # coincident centers, distance ties and empty clusters, with c above the
+    # number of distinct columns whenever extra_c > 0
+    base = np.array(columns, dtype=np.float64).T[:p]
+    X = base[:, np.array(repeats) % base.shape[1]]
+    distinct = np.unique(X, axis=1).shape[1]
+    c = min(distinct + extra_c, X.shape[1])
+    assert np.array_equal(
+        kmeans(X, c, seed, max_iters=max_iters),
+        _reference_kmeans(X, c, seed, max_iters=max_iters),
+    )
+
+
+def test_weighted_draws_skip_zero_weights():
+    # zero columns have K_ii = 0 under the linear kernel
+    X = _rand(3, 10)
+    X[:, [1, 4, 7]] = 0.0
+    for seed in range(50):
+        lm = sample_diagonal(LINEAR, X, 7, seed)
+        assert sorted(lm.source_indices.tolist()) == [0, 2, 3, 5, 6, 8, 9]
+
+
+def test_weighted_draws_need_c_positive_weights():
+    X = _rand(3, 6)
+    X[:, 2:] = 0.0
+    with pytest.raises(ValueError, match="only 2 of 6 sampling weights are positive"):
+        sample_diagonal(LINEAR, X, 3, seed=0)
+
+
+def test_weighted_draws_follow_the_sequential_law():
+    # P(first = i, second = k) = w_i / W * w_k / (W - w_i)
+    w = np.array([1.0, 2.0, 3.0, 4.0])
+    rng = np.random.default_rng(5)
+    trials = 20_000
+    pairs = np.zeros((4, 4))
+    for _ in range(trials):
+        i, k = _weighted_without_replacement(w, 2, rng)
+        pairs[i, k] += 1
+    W = w.sum()
+    expected = np.outer(w / W, w) / (W - w)[:, None]
+    np.fill_diagonal(expected, 0.0)
+    assert np.abs(pairs / trials - expected).max() < 0.01
 
 
 def test_coreset_identical_columns_falls_back_to_uniform():
