@@ -6,12 +6,12 @@ robustness experiments.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dict_learning import LearnReport, learn
-from .sparse_coding import omp_batch
+from .dict_learning import learn
+from .sparse_coding import omp_batch, residual_energies
 
 
 @dataclass
@@ -73,12 +73,11 @@ def class_residuals(model: ClassDictionaryModel, F: np.ndarray) -> np.ndarray:
             f"sample dimension {F.shape[0]} does not match model "
             f"({model.space_dim})"
         )
-    res = np.empty((model.n_classes, F.shape[1]))
-    for i, D in enumerate(model.dictionaries):
-        Gamma = omp_batch(D, F, model.q)
-        R = F - D @ Gamma
-        res[i] = np.sum(R * R, axis=0)
-    return res
+    norms2 = np.sum(F * F, axis=0)
+    return np.stack([
+        residual_energies(omp_batch(D, F, model.q), D.T @ D, norms2)
+        for D in model.dictionaries
+    ])
 
 
 def classify(model: ClassDictionaryModel, f: np.ndarray):

@@ -219,8 +219,9 @@ def cmd_sweep(cfg, axis: str, values_arg: str) -> int:
 
 
 def cmd_approx_error(cfg) -> int:
-    """Normalized kernel-approximation error of the configured sampler
-    across c/N values, against the exact kernel matrix."""
+    """Normalized kernel-approximation error of the configured sampler at
+    the configured landmark count (0.1 N if none is set), against the exact
+    kernel matrix."""
     from pathlib import Path
 
     from . import experiment
@@ -230,22 +231,23 @@ def cmd_approx_error(cfg) -> int:
 
     train, _ = experiment.load_split(cfg)
     K = kernel_matrix(cfg.kernel, train.samples, train.samples)
-    fractions = [cfg.c_over_n(train.n)] if (cfg.c or cfg.c_fraction) else [0.1]
+    if cfg.c or cfg.c_fraction:
+        c = cfg.landmark_count(train.n)
+    else:
+        c = max(1, int(round(0.1 * train.n)))
     rows = []
-    for frac in fractions:
-        c = max(1, int(round(frac * train.n)))
-        for r, seed in enumerate(experiment.derive_seeds(cfg.seed, cfg.repeats)):
-            spec = SamplerSpec(method=cfg.sampler_method, c=c, seed=seed)
-            landmarks = select_landmarks(train.samples, spec, cfg.kernel)
-            K_approx = nystrom_kernel_approximation(
-                cfg.kernel, train.samples, landmarks
-            )
-            rows.append({
-                "sampler": cfg.sampler_method,
-                "c_over_N": round(frac, 6),
-                "repeat": r,
-                "approx_error": approximation_error(K, K_approx),
-            })
+    for r, seed in enumerate(experiment.derive_seeds(cfg.seed, cfg.repeats)):
+        spec = SamplerSpec(method=cfg.sampler_method, c=c, seed=seed)
+        landmarks = select_landmarks(train.samples, spec, cfg.kernel)
+        K_approx = nystrom_kernel_approximation(
+            cfg.kernel, train.samples, landmarks
+        )
+        rows.append({
+            "sampler": cfg.sampler_method,
+            "c_over_N": round(c / train.n, 6),
+            "repeat": r,
+            "approx_error": approximation_error(K, K_approx),
+        })
     out = Path(cfg.output_dir)
     experiment.write_csv(rows, out / "approx_error.csv")
     experiment.write_manifest(cfg, out / "manifest.json",

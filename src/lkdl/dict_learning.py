@@ -111,23 +111,23 @@ def mod_update(X: np.ndarray, Gamma: np.ndarray):
     return D / scale, Gamma * scale[:, None], degenerate
 
 
-def _top_singular_triplet(E: np.ndarray, tol: float = 1e-10, max_iters: int = 1000):
-    """Dominant singular triplet of E by alternating power iteration."""
+def _top_singular_triplet(E: np.ndarray):
+    """Dominant singular triplet of E by alternating power iteration, until
+    the left vector moves by less than 1e-10 or for at most 1000 steps."""
     start = int(np.argmax(np.sum(E * E, axis=0)))
     u = E[:, start]
     nu = np.linalg.norm(u)
     if nu == 0:
         return None
     u = u / nu
-    s = 0.0
-    for _ in range(max_iters):
+    for _ in range(1000):
         w = E.T @ u
         v = E @ w
         s_new = np.linalg.norm(v)
         if s_new == 0:
             break
         u_new = v / s_new
-        if np.linalg.norm(u_new - u) < tol:
+        if np.linalg.norm(u_new - u) < 1e-10:
             u = u_new
             break
         u = u_new
@@ -181,13 +181,13 @@ def _column_errors(X, D, Gamma) -> np.ndarray:
     return np.sum((X - D @ Gamma) ** 2, axis=0)
 
 
-def _clear_atoms(M, Gamma, err, replace, mu_thresh, use_thresh) -> int:
+def _clear_atoms(M, Gamma, err, replace) -> int:
     """Replace degenerate atoms, given their Gram matrix M: near-duplicates
-    (|M_ij| above ``mu_thresh``) and atoms used by fewer than ``use_thresh``
-    signals are swapped, in atom order, for the signals with the largest
-    errors ``err``. ``replace(j, w)`` makes atom j the normalized signal w
-    and returns atom j's new Gram row, or None if signal w is zero (the
-    next-worst signal is tried). Returns the number of replaced atoms."""
+    (|M_ij| above 0.99) and atoms used by fewer than 4 signals are swapped,
+    in atom order, for the signals with the largest errors ``err``.
+    ``replace(j, w)`` makes atom j the normalized signal w and returns atom
+    j's new Gram row, or None if signal w is zero (the next-worst signal is
+    tried). Returns the number of replaced atoms."""
     order = np.argsort(err)[::-1]
     next_worst = 0
     replaced = 0
@@ -195,7 +195,7 @@ def _clear_atoms(M, Gamma, err, replace, mu_thresh, use_thresh) -> int:
     for j in range(M.shape[0]):
         G_j = np.abs(M[:, j])
         G_j[j] = 0.0
-        if G_j.max() > mu_thresh or usage[j] < use_thresh:
+        if G_j.max() > 0.99 or usage[j] < 4:
             while next_worst < order.size:
                 row = replace(j, int(order[next_worst]))
                 next_worst += 1
@@ -208,15 +208,11 @@ def _clear_atoms(M, Gamma, err, replace, mu_thresh, use_thresh) -> int:
 
 
 def clear_dictionary(
-    X: np.ndarray,
-    D: np.ndarray,
-    Gamma: np.ndarray,
-    mu_thresh: float = 0.99,
-    use_thresh: int = 4,
+    X: np.ndarray, D: np.ndarray, Gamma: np.ndarray
 ) -> tuple[np.ndarray, int]:
-    """Replace degenerate atoms: near-duplicates (coherence above
-    ``mu_thresh``) and atoms used by fewer than ``use_thresh`` signals are
-    swapped for the currently worst-represented signals, normalized."""
+    """Replace degenerate atoms: near-duplicates (coherence above 0.99) and
+    atoms used by fewer than 4 signals are swapped for the currently
+    worst-represented signals, normalized."""
     D = np.array(D, dtype=np.float64)
 
     def replace(j, w):
@@ -226,10 +222,7 @@ def clear_dictionary(
         D[:, j] = X[:, w] / norm
         return D.T @ D[:, j]
 
-    replaced = _clear_atoms(
-        D.T @ D, Gamma, _column_errors(X, D, Gamma), replace,
-        mu_thresh, use_thresh,
-    )
+    replaced = _clear_atoms(D.T @ D, Gamma, _column_errors(X, D, Gamma), replace)
     return D, replaced
 
 
@@ -289,7 +282,6 @@ def learn(
     method: str = "ksvd",
     init: np.ndarray | None = None,
     seed: int = 0,
-    eps: float = 0.0,
 ):
     """Alternate batch OMP coding and the chosen dictionary update.
 
@@ -316,7 +308,7 @@ def learn(
 
     return _alternate(
         D, iterations,
-        code=lambda D_cur: omp_batch(D_cur, X, q, eps),
+        code=lambda D_cur: omp_batch(D_cur, X, q),
         errors=lambda D_cur, G: _column_errors(X, D_cur, G),
         update=update,
         clear=lambda D_cur, G: clear_dictionary(X, D_cur, G),
@@ -348,8 +340,6 @@ def clear_coefficient_dictionary(
     kdiag: np.ndarray,
     A: np.ndarray,
     Gamma: np.ndarray,
-    mu_thresh: float = 0.99,
-    use_thresh: int = 4,
 ) -> tuple[np.ndarray, int]:
     """Kernel-domain mirror of clear_dictionary: degenerate feature-space
     atoms are replaced by the worst-represented mapped signals."""
@@ -368,8 +358,7 @@ def clear_coefficient_dictionary(
         return KA[w, :] / norm
 
     replaced = _clear_atoms(
-        A.T @ KA, Gamma, _kernel_column_errors(K, kdiag, A, Gamma), replace,
-        mu_thresh, use_thresh,
+        A.T @ KA, Gamma, _kernel_column_errors(K, kdiag, A, Gamma), replace
     )
     return A, replaced
 
@@ -380,7 +369,6 @@ def kernel_mod_learn(
     q: int,
     iterations: int,
     seed: int = 0,
-    eps: float = 0.0,
 ):
     """Kernel dictionary learning with KOMP coding and the batch update
     A = Gamma^+; atoms are renormalized to unit feature-space norm after
@@ -413,7 +401,7 @@ def kernel_mod_learn(
 
     return _alternate(
         A, iterations,
-        code=lambda A_cur: komp_batch(K, K, kdiag, A_cur, q, eps),
+        code=lambda A_cur: komp_batch(K, K, kdiag, A_cur, q),
         errors=lambda A_cur, G: _kernel_column_errors(K, kdiag, A_cur, G),
         update=update,
         clear=lambda A_cur, G: clear_coefficient_dictionary(K, kdiag, A_cur, G),

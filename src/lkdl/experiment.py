@@ -39,7 +39,8 @@ from .kernels import KernelSpec, kernel_diagonal, kernel_matrix
 from .sampling import SamplerSpec
 # ``komp`` is re-exported: code that looks up ``experiment.komp``, such as
 # the benchmark's tracer, keeps working
-from .sparse_coding import komp, komp_batch  # noqa: F401
+from .sparse_coding import komp  # noqa: F401
+from .sparse_coding import komp_batch, residual_energies
 
 RNG_NAME = "numpy-PCG64"
 
@@ -230,10 +231,7 @@ def kernel_baseline_classify(
     ):
         K_ZX = kernel_matrix(model.kernel, X_test, X_i)
         Gamma = komp_batch(K_i, K_ZX, kzz, A_i, model.q)
-        # the pursuit solves least squares on each support, so the
-        # residual energy is k(z, z) - b_S^T gamma_S with b = K(z, X) A
-        fit = np.einsum("ij,ji->i", K_ZX @ A_i, Gamma)
-        res[i] = np.maximum(kzz - fit, 0.0)
+        res[i] = residual_energies(Gamma, A_i.T @ (K_i @ A_i), kzz)
     return model.labels[np.argmin(res, axis=0)]
 
 
@@ -274,14 +272,10 @@ def run_single(config: ExperimentConfig, train, test, seed: int) -> dict:
     n_train = train.n
 
     t0 = time.monotonic()
-    if config.pipeline == "linear":
+    if config.pipeline != "kernel_baseline":
         F_train, F_test = train.samples, X_test
-        t_pre = time.monotonic() - t0
-        t_train, t_test, pred = _train_and_classify(
-            config, F_train, train.labels, F_test, seed
-        )
-    elif config.pipeline == "lkdl":
-        _, F_train, F_test = preprocess(config, train.samples, X_test, seed)
+        if config.pipeline == "lkdl":
+            _, F_train, F_test = preprocess(config, F_train, F_test, seed)
         t_pre = time.monotonic() - t0
         t_train, t_test, pred = _train_and_classify(
             config, F_train, train.labels, F_test, seed

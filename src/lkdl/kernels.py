@@ -112,9 +112,3 @@ def kernel_diagonal(kernel: KernelSpec, X: np.ndarray) -> np.ndarray:
         return s
     return (s + kernel.coef0) ** kernel.degree
 
-
-def check_psd(K: np.ndarray, rel_tol: float = 1e-8) -> bool:
-    """True when the symmetric matrix K has min eigenvalue >= -rel_tol*trace."""
-    K = np.asarray(K, dtype=np.float64)
-    w = np.linalg.eigvalsh((K + K.T) / 2.0)
-    return bool(w.min() >= -rel_tol * max(np.trace(K), np.finfo(float).tiny))

@@ -10,7 +10,7 @@ the classifier afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -157,17 +157,15 @@ def train(
     )
 
 
-def predict(model: LCKSVDModel, x: np.ndarray, q: int | None = None):
-    """Sparse code x over D, apply the classifier; returns (label, scores).
-    Ties break to the lowest label. ``q`` defaults to the training value."""
-    code = omp(model.D, np.ravel(x), model.q if q is None else q)
+def predict(model: LCKSVDModel, x: np.ndarray):
+    """Sparse code x over D with the training cardinality, apply the
+    classifier; returns (label, scores). Ties break to the lowest label."""
+    code = omp(model.D, np.ravel(x), model.q)
     scores = model.Theta @ code.to_dense(model.D.shape[1])
     return model.classes[int(np.argmax(scores))], scores
 
 
-def class_scores(
-    model: LCKSVDModel, X: np.ndarray, q: int | None = None
-) -> np.ndarray:
+def class_scores(model: LCKSVDModel, X: np.ndarray) -> np.ndarray:
     """Classifier scores Theta gamma_i of each column of X; shape
     (n_classes, n_samples)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -176,11 +174,9 @@ def class_scores(
             f"sample dimension {X.shape[0]} does not match model "
             f"({model.D.shape[0]})"
         )
-    return model.Theta @ omp_batch(model.D, X, model.q if q is None else q)
+    return model.Theta @ omp_batch(model.D, X, model.q)
 
 
-def predict_batch(
-    model: LCKSVDModel, X: np.ndarray, q: int | None = None
-) -> np.ndarray:
-    scores = class_scores(model, X, q)
+def predict_batch(model: LCKSVDModel, X: np.ndarray) -> np.ndarray:
+    scores = class_scores(model, X)
     return model.classes[np.argmax(scores, axis=0)]

@@ -9,7 +9,7 @@ path is kept as a reference for tests and for the c = N configuration.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,9 +52,10 @@ class NystromMap:
         return self.X_R.shape[0]
 
 
-def _top_eigpairs(K: np.ndarray, k: int, context: str):
+def _top_eigpairs(K: np.ndarray, k: int | None, context: str):
     """Top-k eigenpairs of a symmetric PSD matrix, descending, with the
-    numerical-rank cutoff applied. Returns (values, vectors, truncated)."""
+    numerical-rank cutoff applied; k = None keeps every pair above the
+    cutoff. Returns (values, vectors, truncated)."""
     K = np.asarray(K, dtype=np.float64)
     Ks = (K + K.T) / 2.0
     w, V = np.linalg.eigh(Ks)
@@ -69,7 +70,9 @@ def _top_eigpairs(K: np.ndarray, k: int, context: str):
     keep = w > cutoff
     rank = int(np.count_nonzero(keep))
     truncated = False
-    if k > rank:
+    if k is None:
+        k = rank
+    elif k > rank:
         warnings.warn(
             f"{context}: requested dimension {k} exceeds numerical rank "
             f"{rank}; truncating"
@@ -98,8 +101,10 @@ def fit(
 
 
 def fit_from_landmarks(
-    landmarks: LandmarkSet, kernel: KernelSpec, k: int
+    landmarks: LandmarkSet, kernel: KernelSpec, k: int | None
 ) -> NystromMap:
+    """Keep the top-k eigenpairs of W = K(X_R, X_R); k = None keeps all
+    above the rank cutoff."""
     W = kernel_matrix(kernel, landmarks.X_R, landmarks.X_R)
     sigma, V, truncated = _top_eigpairs(W, k, f"{kernel.kind} kernel landmark matrix")
     return NystromMap(
@@ -137,16 +142,11 @@ def exact_virtual_samples(K: np.ndarray, k: int) -> np.ndarray:
 def nystrom_kernel_approximation(
     kernel: KernelSpec, X: np.ndarray, landmarks: LandmarkSet
 ) -> np.ndarray:
-    """K ~ C W^+ C^T; benchmark-only path, never used for training."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    C = kernel_matrix(kernel, X, landmarks.X_R)
-    W = kernel_matrix(kernel, landmarks.X_R, landmarks.X_R)
-    Ws = (W + W.T) / 2.0
-    w, V = np.linalg.eigh(Ws)
-    cutoff = EIG_RTOL * max(w.max(), 0.0)
-    inv = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
-    W_pinv = (V * inv) @ V.T
-    return C @ W_pinv @ C.T
+    """Nystrom approximation K ~ C W^+ C^T with C = K(X, X_R), computed as
+    F^T F for the virtual samples F of a map that keeps every eigenpair of
+    W above the rank cutoff; benchmark-only path, never used for training."""
+    F = transform(fit_from_landmarks(landmarks, kernel, None), X)
+    return F.T @ F
 
 
 def approximation_error(K: np.ndarray, K_approx: np.ndarray) -> float:

@@ -8,11 +8,13 @@ given the seed; the RNG is pinned to numpy's PCG64.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, kernel_diagonal, kernel_matrix
+from .kernels import (
+    DEFAULT_MEMORY_BUDGET, KernelSpec, kernel_diagonal, kernel_matrix,
+)
 
 SAMPLER_METHODS = ("uniform", "diagonal", "column_norm", "kmeans", "coreset")
 
@@ -22,7 +24,6 @@ class SamplerSpec:
     method: str = "uniform"
     c: int = 1
     seed: int = 0
-    max_iters: int = 100  # k-means only
 
     def __post_init__(self):
         if self.method not in SAMPLER_METHODS:
@@ -102,21 +103,17 @@ def sample_diagonal(
 
 
 def sample_column_norm(
-    kernel: KernelSpec,
-    X: np.ndarray,
-    c: int,
-    seed: int,
-    memory_budget: int = 2 << 30,
+    kernel: KernelSpec, X: np.ndarray, c: int, seed: int
 ) -> LandmarkSet:
     """Columns drawn with weight ||k^i||^2 / ||K||_F^2.
 
-    Materializes the full N x N kernel matrix; errors out above the memory
-    budget, advising a cheaper sampler.
+    Materializes the full N x N kernel matrix; errors out above the kernels'
+    DEFAULT_MEMORY_BUDGET, advising a cheaper sampler.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     n = X.shape[1]
     _check_c(c, n)
-    if 8 * n * n > memory_budget:
+    if 8 * n * n > DEFAULT_MEMORY_BUDGET:
         raise MemoryError(
             "column-norm sampling needs the full kernel matrix "
             f"({n}x{n} exceeds the memory budget); use diagonal, uniform, "
@@ -175,14 +172,9 @@ def sample_coreset(X: np.ndarray, c: int, seed: int) -> LandmarkSet:
 _BLOCK = 512
 
 
-def kmeans(
-    X: np.ndarray,
-    c: int,
-    seed: int,
-    max_iters: int = 100,
-    tol: float = 1e-6,
-) -> np.ndarray:
-    """Lloyd's algorithm with k-means++ seeding on the columns of X.
+def kmeans(X: np.ndarray, c: int, seed: int, max_iters: int = 100) -> np.ndarray:
+    """Lloyd's algorithm with k-means++ seeding on the columns of X, until
+    no center moves by more than 1e-6 or for ``max_iters`` iterations.
 
     Deterministic given the seed: assignment ties go to the lowest-index
     center, and empty clusters are re-seeded from the point farthest from
@@ -247,17 +239,14 @@ def kmeans(
             new_centers[:, empty] = X[:, [int(np.argmax(own + sq_x))]]
         shift = np.sqrt(np.sum((new_centers - centers) ** 2, axis=0)).max()
         centers = new_centers
-        if shift <= tol:
+        if shift <= 1e-6:
             break
     return centers
 
 
-def sample_kmeans(
-    X: np.ndarray, c: int, seed: int, max_iters: int = 100
-) -> LandmarkSet:
+def sample_kmeans(X: np.ndarray, c: int, seed: int) -> LandmarkSet:
     """Landmarks are the c k-means cluster centers of the columns of X."""
-    centers = kmeans(X, c, seed, max_iters=max_iters)
-    return LandmarkSet(centers, None)
+    return LandmarkSet(kmeans(X, c, seed), None)
 
 
 def select_landmarks(
@@ -271,5 +260,5 @@ def select_landmarks(
     if spec.method == "column_norm":
         return sample_column_norm(kernel, X, spec.c, spec.seed)
     if spec.method == "kmeans":
-        return sample_kmeans(X, spec.c, spec.seed, max_iters=spec.max_iters)
+        return sample_kmeans(X, spec.c, spec.seed)
     return sample_coreset(X, spec.c, spec.seed)

@@ -1,8 +1,9 @@
 """Versioned binary container for fitted artifacts.
 
 Layout (all little-endian): magic "LKDL", format version u16, record kind
-u16, then kind-specific fields. Matrices are stored as u32 rows, u32 cols
-followed by row-major float64 data.
+u16, then kind-specific fields and nothing after them. Matrices are stored
+as u32 rows, u32 cols followed by row-major float64 data. Kinds 2 and 3
+(bare dictionaries) are retired.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ MAGIC = b"LKDL"
 FORMAT_VERSION = 1
 
 KIND_NYSTROM_MAP = 1
-KIND_DICTIONARY = 2
-KIND_COEFFICIENT_DICTIONARY = 3
 KIND_CLASS_MODEL = 4
 KIND_LCKSVD_MODEL = 5
 
@@ -57,6 +56,10 @@ class _Reader:
         self.pos += size
         return a.reshape(rows, cols).copy()
 
+    def end(self) -> None:
+        if self.pos != len(self.data):
+            raise ValueError("trailing bytes after the last field")
+
 
 def _pack_kernel(kernel: KernelSpec) -> bytes:
     return struct.pack(
@@ -67,6 +70,8 @@ def _pack_kernel(kernel: KernelSpec) -> bytes:
 
 def _read_kernel(r: _Reader) -> KernelSpec:
     kind, degree, sigma, coef0 = r.unpack("<BIdd")
+    if kind >= len(_KERNEL_KINDS):
+        raise ValueError(f"unknown kernel kind {kind}")
     return KernelSpec(
         kind=_KERNEL_KINDS[kind], degree=degree, sigma=sigma, coef0=coef0
     )
@@ -109,31 +114,13 @@ def load_nystrom_map(path) -> NystromMap:
     X_R = r.array()
     V_k = r.array()
     sigma_k = r.array().ravel()
+    r.end()
     if X_R.shape != (p, c) or V_k.shape != (c, k) or sigma_k.shape != (k,):
         raise ValueError(f"{path}: inconsistent container dimensions")
     return NystromMap(
         kernel=kernel, X_R=X_R, V_k=V_k, sigma_k=sigma_k,
         truncated=bool(truncated),
     )
-
-
-def save_dictionary(D: np.ndarray, path, kind: int = KIND_DICTIONARY) -> None:
-    Path(path).write_bytes(_header(kind) + _pack_array(D))
-
-
-def load_dictionary(path, kind: int = KIND_DICTIONARY) -> np.ndarray:
-    got, r = _open(path)
-    if got != kind:
-        raise ValueError(f"{path}: container holds kind {got}, expected {kind}")
-    return r.array()
-
-
-def save_coefficient_dictionary(A: np.ndarray, path) -> None:
-    save_dictionary(A, path, kind=KIND_COEFFICIENT_DICTIONARY)
-
-
-def load_coefficient_dictionary(path) -> np.ndarray:
-    return load_dictionary(path, kind=KIND_COEFFICIENT_DICTIONARY)
 
 
 def save_class_model(model: ClassDictionaryModel, path) -> None:
@@ -153,6 +140,7 @@ def load_class_model(path) -> ClassDictionaryModel:
     n_classes, q = r.unpack("<II")
     labels = r.array().ravel().astype(np.int64)
     dictionaries = [r.array() for _ in range(n_classes)]
+    r.end()
     return ClassDictionaryModel(labels=labels, dictionaries=dictionaries, q=q)
 
 
@@ -196,6 +184,7 @@ def load_lcksvd_model(path) -> LCKSVDModel:
     T = r.array()
     Theta = r.array()
     scales = r.array().ravel()
+    r.end()
     return LCKSVDModel(
         D=D, T=T, Theta=Theta, sqrt_alpha=sa, sqrt_beta=sb,
         variant=variant, tau2=tau2, q=q, classes=classes, atom_scales=scales,

@@ -5,8 +5,12 @@ dictionary A (feature-space atoms Phi(X) a_j).
 Both run one batch pursuit over (correlations, atom Gram, signal
 energies): pick the atom with the largest absolute correlation to the
 residual (lowest index on ties), re-solve least squares on the support,
-repeat until the cardinality budget q is exhausted or the residual norm
-drops below eps. Single-signal calls are batches of one.
+repeat until the code has q atoms or the residual is zero. Single-signal
+calls are batches of one.
+
+Every code is a least-squares fit on its support, so its residual energy
+is ||x||^2 - gamma^T G gamma for the atom Gram G (``residual_energies``),
+in either inner product.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ def _batch_pursuit(
     G: np.ndarray,
     norms2: np.ndarray,
     q: int,
-    eps: float,
 ):
     """Greedy pursuit of n signals at once (Batch-OMP: Rubinstein,
     Zibulevsky & Elad, "Efficient implementation of the K-SVD algorithm
@@ -49,7 +52,7 @@ def _batch_pursuit(
     atom to every active column and extends that column's Cholesky factor
     of its support Gram by one row, so the Python loop runs min(q, m) times.
 
-    A column stops when its residual energy drops to eps^2, when its best
+    A column stops when its residual energy drops to zero, when its best
     correlation is exactly 0 after the first atom, or when the new pivot
     is not positive (singular support Gram): that atom is dropped, the
     previous code kept and the column flagged degenerate.
@@ -68,7 +71,7 @@ def _batch_pursuit(
     CT, GT = C0.T, np.ascontiguousarray(G.T)
     # state of the active columns: indices, atoms, Cholesky factors L of
     # the support Grams, c0_S, L^{-1} c0_S and the coefficients
-    act = np.flatnonzero(rnorm2 > eps * eps)
+    act = np.flatnonzero(rnorm2 > 0.0)
     S = np.zeros((act.size, smax), dtype=np.int64)
     L = np.zeros((act.size, smax, smax))
     cS = np.zeros((act.size, smax))
@@ -125,7 +128,7 @@ def _batch_pursuit(
         values[act, : s + 1] = gam[:, : s + 1]
         size[act] = s + 1
         rnorm2[act] = r
-        going = r > eps * eps
+        going = r > 0.0
         if not going.all():
             keep_only(going)
     return support, values, size, rnorm2, degenerate
@@ -140,9 +143,9 @@ def _dense_codes(support, values, size, m: int) -> np.ndarray:
     return Gamma
 
 
-def _single_code(C0, G, norm2: float, q: int, eps: float) -> SparseCode:
+def _single_code(C0, G, norm2: float, q: int) -> SparseCode:
     support, values, size, rnorm2, degenerate = _batch_pursuit(
-        C0.reshape(-1, 1), G, np.array([norm2]), q, eps
+        C0.reshape(-1, 1), G, np.array([norm2]), q
     )
     s = int(size[0])
     return SparseCode(
@@ -153,12 +156,7 @@ def _single_code(C0, G, norm2: float, q: int, eps: float) -> SparseCode:
     )
 
 
-def omp(
-    D: np.ndarray,
-    x: np.ndarray,
-    q: int,
-    eps: float = 0.0,
-) -> SparseCode:
+def omp(D: np.ndarray, x: np.ndarray, q: int) -> SparseCode:
     """Orthogonal matching pursuit of x over the unit-norm dictionary D."""
     D = np.atleast_2d(np.asarray(D, dtype=np.float64))
     x = np.ravel(np.asarray(x, dtype=np.float64))
@@ -166,12 +164,10 @@ def omp(
         raise ValueError("cardinality q must be >= 1")
     if D.shape[0] != x.shape[0]:
         raise ValueError("signal dimension does not match dictionary")
-    return _single_code(D.T @ x, D.T @ D, float(x @ x), q, eps)
+    return _single_code(D.T @ x, D.T @ D, float(x @ x), q)
 
 
-def omp_batch(
-    D: np.ndarray, X: np.ndarray, q: int, eps: float = 0.0
-) -> np.ndarray:
+def omp_batch(D: np.ndarray, X: np.ndarray, q: int) -> np.ndarray:
     """OMP of every column of X in one batch pursuit, with the Gram matrix
     and D^T X computed once.
 
@@ -179,18 +175,16 @@ def omp_batch(
     """
     D = np.atleast_2d(np.asarray(D, dtype=np.float64))
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    codes = _batch_pursuit(D.T @ X, D.T @ D, np.sum(X * X, axis=0), q, eps)
+    codes = _batch_pursuit(D.T @ X, D.T @ D, np.sum(X * X, axis=0), q)
     return _dense_codes(*codes[:3], D.shape[1])
 
 
-def normalize_coefficient_dictionary(
-    A: np.ndarray, K_XX: np.ndarray, tol: float = 1e-12
-) -> np.ndarray:
+def normalize_coefficient_dictionary(A: np.ndarray, K_XX: np.ndarray) -> np.ndarray:
     """Scale the columns of A so each feature-space atom has unit norm,
     a_j^T K a_j = 1. Zero-norm atoms are left untouched."""
     A = np.asarray(A, dtype=np.float64)
     norms = np.sqrt(np.maximum(np.einsum("ij,ij->j", A, K_XX @ A), 0.0))
-    scale = np.where(norms > tol, norms, 1.0)
+    scale = np.where(norms > 1e-12, norms, 1.0)
     return A / scale
 
 
@@ -200,7 +194,6 @@ def komp(
     kzz: float,
     A: np.ndarray,
     q: int,
-    eps: float = 0.0,
 ) -> SparseCode:
     """Kernel OMP of a signal z over the coefficient dictionary A.
 
@@ -216,7 +209,7 @@ def komp(
     if K_zX.shape[0] != A.shape[0]:
         raise ValueError("K(z,X) length does not match coefficient dictionary")
     M = A.T @ (np.asarray(K_XX, dtype=np.float64) @ A)
-    return _single_code(K_zX @ A, M, float(kzz), q, eps)
+    return _single_code(K_zX @ A, M, float(kzz), q)
 
 
 def komp_batch(
@@ -225,7 +218,6 @@ def komp_batch(
     kzz: np.ndarray,
     A: np.ndarray,
     q: int,
-    eps: float = 0.0,
 ) -> np.ndarray:
     """KOMP over many signals in one batch pursuit; rows of K_ZX are
     K(z_i, X). Returns the dense m x n_z coefficient matrix."""
@@ -233,5 +225,14 @@ def komp_batch(
     K_ZX = np.atleast_2d(np.asarray(K_ZX, dtype=np.float64))
     kzz = np.ravel(np.asarray(kzz, dtype=np.float64))
     M = A.T @ (np.asarray(K_XX, dtype=np.float64) @ A)
-    codes = _batch_pursuit((K_ZX @ A).T, M, kzz, q, eps)
+    codes = _batch_pursuit((K_ZX @ A).T, M, kzz, q)
     return _dense_codes(*codes[:3], A.shape[1])
+
+
+def residual_energies(
+    Gamma: np.ndarray, G: np.ndarray, norms2: np.ndarray
+) -> np.ndarray:
+    """Squared residuals max(||x_i||^2 - gamma_i^T G gamma_i, 0) of
+    least-squares codes (the columns of Gamma, as the pursuits return them)
+    over atoms with Gram G, given the signals' squared norms ``norms2``."""
+    return np.maximum(norms2 - np.einsum("ij,ij->j", Gamma, G @ Gamma), 0.0)

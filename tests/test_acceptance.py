@@ -9,11 +9,16 @@ that test is expected to fail; see the repository notes for the analysis.
 """
 
 import itertools
-import time
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lkdl
 from lkdl.classify import classify_batch, corrupt_gaussian, train_per_class
 from lkdl.datasets import (
     split_per_class,
@@ -22,7 +27,6 @@ from lkdl.datasets import (
     synth_planted_sparse,
 )
 from lkdl.dict_learning import kernel_mod_learn, learn
-from lkdl.experiment import ExperimentConfig, derive_seeds, run_single
 from lkdl.kernels import KernelSpec, kernel_matrix
 from lkdl.lcksvd import predict_batch
 from lkdl.lcksvd import train as lcksvd_train
@@ -284,7 +288,7 @@ def test_criterion_07_nonlinearity_benefit():
 
 
 def _scaling_config(pipeline, n_per_class):
-    return ExperimentConfig.from_dict({
+    return {
         "dataset": {"synthetic": "gaussian_mixture", "n_per_class": n_per_class,
                     "n_classes": 2, "p": 10, "seed": 3},
         "kernel": {"kind": "polynomial", "degree": 2},
@@ -293,13 +297,19 @@ def _scaling_config(pipeline, n_per_class):
         "pipeline": pipeline,
         "learner": {"m_per_class": 150, "q": 1, "iterations": 3},
         "seed": 11,
-    })
+    }
 
 
-def _median_times(pipeline, n_per_class):
-    from lkdl.experiment import load_split
-
-    cfg = _scaling_config(pipeline, n_per_class)
+# Median (train, total) times of three run_single calls per config, in the
+# order given. Run in a fresh interpreter whose BLAS uses one thread, so the
+# slopes do not depend on the host's default thread count.
+_TIMING_SCRIPT = """
+import json, sys, time
+import numpy as np
+from lkdl.experiment import ExperimentConfig, derive_seeds, load_split, run_single
+medians = []
+for raw in json.loads(sys.argv[1]):
+    cfg = ExperimentConfig.from_dict(raw)
     train, test = load_split(cfg)
     seed = derive_seeds(cfg.seed, 1)[0]
     trains, totals = [], []
@@ -308,15 +318,35 @@ def _median_times(pipeline, n_per_class):
         row = run_single(cfg, train, test, seed)
         totals.append(time.monotonic() - t0)
         trains.append(row["t_preprocess"] + row["t_train"])
-    return float(np.median(trains)), float(np.median(totals))
+    medians.append([float(np.median(trains)), float(np.median(totals))])
+print(json.dumps(medians))
+"""
+
+
+def _median_times_single_thread(configs):
+    env = dict(os.environ)
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(lkdl.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _TIMING_SCRIPT, json.dumps(configs)],
+        env=env, capture_output=True, text=True, timeout=1800,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def test_criterion_08_runtime_scaling():
     sizes = [1000, 2000, 4000]
+    configs = [_scaling_config(pipeline, n // 2) for n in sizes
+               for pipeline in ("kernel_baseline", "lkdl")]
+    times = iter(_median_times_single_thread(configs))
     base_train, lkdl_train, lkdl_total, base_total = [], [], [], []
-    for n in sizes:
-        bt, btot = _median_times("kernel_baseline", n // 2)
-        lt, ltot = _median_times("lkdl", n // 2)
+    for _ in sizes:
+        bt, btot = next(times)
+        lt, ltot = next(times)
         base_train.append(bt)
         lkdl_train.append(lt)
         base_total.append(btot)

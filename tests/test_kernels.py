@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from lkdl.kernels import (
     KernelSpec,
-    check_psd,
     kernel_diagonal,
     kernel_eval,
     kernel_matrix,
@@ -78,13 +77,6 @@ def test_cross_matrix_shape_and_symmetry():
     K = kernel_matrix(GAUSS, X, X)
     assert K.shape == (11, 11)
     assert np.allclose(K, K.T)
-
-
-def test_check_psd_accepts_gram_rejects_indefinite():
-    X = np.random.default_rng(6).standard_normal((4, 8))
-    assert check_psd(X.T @ X)
-    M = np.diag([1.0, -0.5])
-    assert not check_psd(M)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from lkdl.kernels import KernelSpec, kernel_matrix
 from lkdl.nystrom import (
+    EIG_RTOL,
     approximation_error,
     exact_virtual_samples,
     fit,
@@ -10,7 +13,7 @@ from lkdl.nystrom import (
     nystrom_kernel_approximation,
     transform,
 )
-from lkdl.sampling import LandmarkSet, SamplerSpec
+from lkdl.sampling import LandmarkSet, SamplerSpec, select_landmarks
 
 LINEAR = KernelSpec(kind="linear")
 GAUSS = KernelSpec(kind="gaussian", sigma=1.0)
@@ -126,6 +129,42 @@ def test_nystrom_full_landmarks_approximation_is_exact():
     lm = LandmarkSet(X.copy(), np.arange(20))
     K_approx = nystrom_kernel_approximation(GAUSS, X, lm)
     assert approximation_error(K, K_approx) < 1e-8
+
+
+def _reference_nystrom(kernel, X, landmarks):
+    """C W^+ C^T with its own eigendecomposition and the same relative
+    eigenvalue cutoff (the formula the map-based path replaced)."""
+    C = kernel_matrix(kernel, X, landmarks.X_R)
+    W = kernel_matrix(kernel, landmarks.X_R, landmarks.X_R)
+    w, V = np.linalg.eigh((W + W.T) / 2.0)
+    cutoff = EIG_RTOL * max(w.max(), 0.0)
+    inv = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
+    return C @ ((V * inv) @ V.T) @ C.T
+
+
+@pytest.mark.parametrize("method", ["uniform", "kmeans", "coreset"])
+def test_nystrom_approximation_matches_pseudo_inverse_formula(method):
+    X = _rand(5, 120, seed=14)
+    kernel = KernelSpec(kind="gaussian", sigma=1.5)
+    K = kernel_matrix(kernel, X, X)
+    for c in (1, 12, 40, 120):
+        lm = select_landmarks(X, SamplerSpec(method=method, c=c, seed=c), kernel)
+        err = approximation_error(K, nystrom_kernel_approximation(kernel, X, lm))
+        ref = approximation_error(K, _reference_nystrom(kernel, X, lm))
+        assert err == pytest.approx(ref, rel=1e-8, abs=1e-12)
+
+
+def test_nystrom_approximation_keeps_the_rank_without_warning():
+    # four distinct points among c = 8 landmarks: W has rank 4 < c, and the
+    # approximation keeps every pair above the cutoff without a warning
+    X = np.tile(_rand(3, 4, seed=15), 3)
+    lm = LandmarkSet(X[:, :8].copy(), np.arange(8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        K_approx = nystrom_kernel_approximation(GAUSS, X, lm)
+    K = kernel_matrix(GAUSS, X, X)
+    assert approximation_error(K, K_approx) < 1e-8
+    assert approximation_error(K, _reference_nystrom(GAUSS, X, lm)) < 1e-8
 
 
 def test_k_larger_than_c_rejected():

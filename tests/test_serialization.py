@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lkdl.classify import ClassDictionaryModel
 from lkdl.kernels import KernelSpec
@@ -10,14 +12,10 @@ from lkdl.serialization import (
     FORMAT_VERSION,
     MAGIC,
     load_class_model,
-    load_coefficient_dictionary,
-    load_dictionary,
     load_lcksvd_model,
     load_model,
     load_nystrom_map,
     save_class_model,
-    save_coefficient_dictionary,
-    save_dictionary,
     save_lcksvd_model,
     save_model,
     save_nystrom_map,
@@ -42,23 +40,6 @@ def test_nystrom_map_round_trip(tmp_path):
     # eigenvector block is contiguous while the fitted one is a slice)
     Z = np.random.default_rng(1).standard_normal((4, 7))
     assert np.allclose(transform(back, Z), transform(nmap, Z), atol=1e-14)
-
-
-def test_dictionary_round_trip(tmp_path):
-    D = np.random.default_rng(2).standard_normal((6, 9))
-    f = tmp_path / "dict.lkdl"
-    save_dictionary(D, f)
-    assert np.array_equal(load_dictionary(f), D)
-
-
-def test_coefficient_dictionary_round_trip_and_kind_check(tmp_path):
-    A = np.random.default_rng(3).standard_normal((12, 5))
-    f = tmp_path / "coef.lkdl"
-    save_coefficient_dictionary(A, f)
-    assert np.array_equal(load_coefficient_dictionary(f), A)
-    # the two dictionary kinds are not interchangeable
-    with pytest.raises(ValueError, match="kind"):
-        load_dictionary(f)
 
 
 def test_class_model_round_trip(tmp_path):
@@ -106,10 +87,17 @@ def test_lcksvd_model_round_trip(tmp_path):
         assert back.tau2 == 1e-4
 
 
+def _class_model(rng, n_classes=3, d=5, m=4, q=2):
+    return ClassDictionaryModel(
+        labels=np.arange(n_classes) * 2 + 1,
+        dictionaries=[rng.standard_normal((d, m)) for _ in range(n_classes)],
+        q=q,
+    )
+
+
 def test_header_magic_and_version(tmp_path):
-    D = np.eye(3)
-    f = tmp_path / "dict.lkdl"
-    save_dictionary(D, f)
+    f = tmp_path / "model.lkdl"
+    save_class_model(_class_model(np.random.default_rng(6)), f)
     raw = f.read_bytes()
     assert raw[:4] == MAGIC == b"LKDL"
     version = int.from_bytes(raw[4:6], "little")
@@ -117,22 +105,79 @@ def test_header_magic_and_version(tmp_path):
 
 
 def test_corrupted_containers_rejected(tmp_path):
-    D = np.random.default_rng(6).standard_normal((4, 4))
-    f = tmp_path / "dict.lkdl"
-    save_dictionary(D, f)
+    f = tmp_path / "model.lkdl"
+    save_class_model(_class_model(np.random.default_rng(6)), f)
     raw = f.read_bytes()
 
     not_magic = tmp_path / "bad_magic.lkdl"
     not_magic.write_bytes(b"XXXX" + raw[4:])
     with pytest.raises(ValueError, match="container"):
-        load_dictionary(not_magic)
+        load_class_model(not_magic)
 
     bad_version = tmp_path / "bad_version.lkdl"
     bad_version.write_bytes(raw[:4] + (99).to_bytes(2, "little") + raw[6:])
     with pytest.raises(ValueError, match="version"):
-        load_dictionary(bad_version)
+        load_class_model(bad_version)
 
     truncated = tmp_path / "truncated.lkdl"
     truncated.write_bytes(raw[:-8])
     with pytest.raises(ValueError, match="truncated"):
-        load_dictionary(truncated)
+        load_class_model(truncated)
+
+
+def _random_artifact(kind, seed):
+    """A random artifact of ``kind`` with its (save, load) pair."""
+    rng = np.random.default_rng(seed)
+    if kind == "map":
+        X = rng.standard_normal((int(rng.integers(1, 4)), 12))
+        nmap = fit(
+            X, KernelSpec(kind="gaussian", sigma=1.0 + rng.random()),
+            SamplerSpec(method="uniform", c=int(rng.integers(1, 7)), seed=seed),
+            k=1,
+        )
+        return nmap, save_nystrom_map, load_nystrom_map
+    if kind == "class_model":
+        model = _class_model(rng, *(int(v) for v in rng.integers(1, 4, size=4)))
+        return model, save_class_model, load_class_model
+    d, m, L = (int(v) for v in rng.integers(1, 4, size=3))
+    model = LCKSVDModel(
+        D=rng.standard_normal((d, m)), T=rng.standard_normal((m, m)),
+        Theta=rng.standard_normal((L, m)), sqrt_alpha=float(rng.random()),
+        sqrt_beta=float(rng.random()), variant=int(rng.integers(1, 3)),
+        tau2=1e-4, q=int(rng.integers(1, 4)), classes=np.arange(L),
+        atom_scales=rng.random(m),
+    )
+    return model, save_lcksvd_model, load_lcksvd_model
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["map", "class_model", "lcksvd"]),
+    seed=st.integers(0, 2**32 - 1),
+    extra=st.binary(min_size=1, max_size=1),
+    kernel_kind=st.integers(3, 255),
+)
+def test_containers_round_trip_and_reject_corruption(
+    tmp_path_factory, kind, seed, extra, kernel_kind
+):
+    tmp = tmp_path_factory.mktemp("containers")
+    f, again = tmp / "artifact.lkdl", tmp / "again.lkdl"
+    artifact, save, load = _random_artifact(kind, seed)
+    save(artifact, f)
+    raw = f.read_bytes()
+    # the loaded artifact saves to the same bytes: every field came back
+    save(load(f), again)
+    assert again.read_bytes() == raw
+    # every truncation, then one appended byte
+    for size in range(len(raw)):
+        f.write_bytes(raw[:size])
+        with pytest.raises(ValueError):
+            load(f)
+    f.write_bytes(raw + extra)
+    with pytest.raises(ValueError, match="trailing"):
+        load(f)
+    if kind == "map":
+        # the kernel-kind byte follows the 8-byte header
+        f.write_bytes(raw[:8] + bytes([kernel_kind]) + raw[9:])
+        with pytest.raises(ValueError, match="kernel kind"):
+            load(f)
