@@ -127,7 +127,7 @@ def cmd_train(cfg) -> int:
             cfg, train.samples, test.samples, seed
         )
     # an unknown learner type raises here, before anything is written
-    model = experiment.train_learner(cfg.learner, F_train, train.labels, seed)
+    model = experiment.train_learner(cfg, F_train, train.labels, seed)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     if nmap is not None:

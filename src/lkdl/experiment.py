@@ -1,13 +1,14 @@
 """End-to-end pipelines and experiment orchestration.
 
 Three pipelines share one protocol (optionally corrupt the raw test set,
-map to a feature representation, train a classifier, evaluate):
+map to a feature representation, ``train_learner``, ``predict``, evaluate):
 
-* ``linear``          — identity features, plain per-class learning;
+* ``linear``          — identity features, any linear learner;
 * ``lkdl``            — landmark virtual-sample features, then any linear
                         learner;
-* ``kernel_baseline`` — exact kernel learning (KOMP + batch coefficient
-                        update) on per-class kernel submatrices.
+* ``kernel_baseline`` — identity features, then the exact-kernel per-class
+                        learner (KOMP + batch coefficient update on
+                        per-class kernel submatrices).
 
 Repeats derive per-run seeds from the master seed via numpy SeedSequence
 (PCG64 streams), so runs are independent but reproducible.
@@ -204,6 +205,9 @@ def kernel_baseline_train(
     iterations: int,
     seed: int,
 ) -> KernelBaselineModel:
+    labels = np.ravel(np.asarray(labels))
+    if labels.shape[0] != X_train.shape[1]:
+        raise ValueError("label count does not match sample count")
     classes = np.unique(labels)
     samples, kernels_, dicts = [], [], []
     for i, lab in enumerate(classes):
@@ -235,10 +239,22 @@ def kernel_baseline_classify(
     return model.labels[np.argmin(res, axis=0)]
 
 
-def train_learner(learner: dict, F_train, y_train, seed: int):
-    """Train the learner a ``learner`` config section names (``type``
-    ``per_class`` or ``lcksvd``) on feature columns."""
-    s = {**LEARNER_DEFAULTS, **learner}
+def train_learner(config: ExperimentConfig, F_train, y_train, seed: int):
+    """Train the model the config names on feature columns: the ``learner``
+    section's ``type`` (``per_class`` or ``lcksvd``), or for the
+    ``kernel_baseline`` pipeline, whose features are the raw samples, the
+    exact-kernel per-class model (``per_class`` only)."""
+    s = {**LEARNER_DEFAULTS, **config.learner}
+    if config.pipeline == "kernel_baseline":
+        if s["type"] != "per_class":
+            raise ValueError(
+                "pipeline 'kernel_baseline' takes only the 'per_class' "
+                f"learner, not {s['type']!r}"
+            )
+        return kernel_baseline_train(
+            F_train, y_train, config.kernel, m_per_class=s["m_per_class"],
+            q=s["q"], iterations=s["iterations"], seed=seed,
+        )
     if s["type"] == "per_class":
         return train_per_class(
             F_train, y_train, s["m_per_class"], s["q"], s["iterations"],
@@ -252,18 +268,13 @@ def train_learner(learner: dict, F_train, y_train, seed: int):
     raise ValueError(f"unknown learner type: {s['type']!r}")
 
 
-def _train_and_classify(config, F_train, y_train, F_test, seed):
-    """Train the configured learner on features and predict test labels.
-    Returns (t_train, t_test, predictions)."""
-    t0 = time.monotonic()
-    model = train_learner(config.learner, F_train, y_train, seed)
-    t1 = time.monotonic()
+def predict(model, F) -> np.ndarray:
+    """Predicted labels of the feature columns F under a model of any kind."""
+    if isinstance(model, KernelBaselineModel):
+        return kernel_baseline_classify(model, F)
     if isinstance(model, _lcksvd.LCKSVDModel):
-        pred = _lcksvd.predict_batch(model, F_test)
-    else:
-        pred = classify_batch(model, F_test)
-    t2 = time.monotonic()
-    return t1 - t0, t2 - t1, pred
+        return _lcksvd.predict_batch(model, F)
+    return classify_batch(model, F)
 
 
 def run_single(config: ExperimentConfig, train, test, seed: int) -> dict:
@@ -271,29 +282,17 @@ def run_single(config: ExperimentConfig, train, test, seed: int) -> dict:
     X_test = apply_corruption(test.samples, config.corruption, seed)
     n_train = train.n
 
-    t0 = time.monotonic()
-    if config.pipeline != "kernel_baseline":
-        F_train, F_test = train.samples, X_test
-        if config.pipeline == "lkdl":
-            _, F_train, F_test = preprocess(config, F_train, F_test, seed)
+    # features: the raw samples, or for lkdl the virtual samples
+    F_train, F_test, t_pre = train.samples, X_test, 0.0
+    if config.pipeline == "lkdl":
+        t0 = time.monotonic()
+        _, F_train, F_test = preprocess(config, F_train, F_test, seed)
         t_pre = time.monotonic() - t0
-        t_train, t_test, pred = _train_and_classify(
-            config, F_train, train.labels, F_test, seed
-        )
-    else:
-        # exact-kernel baseline; submatrix construction counts as training
-        s = {**LEARNER_DEFAULTS, **config.learner}
-        t_pre = 0.0
-        t1 = time.monotonic()
-        model = kernel_baseline_train(
-            train.samples, train.labels, config.kernel,
-            m_per_class=s["m_per_class"], q=s["q"],
-            iterations=s["iterations"], seed=seed,
-        )
-        t_train = time.monotonic() - t1
-        t2 = time.monotonic()
-        pred = kernel_baseline_classify(model, X_test)
-        t_test = time.monotonic() - t2
+    t1 = time.monotonic()
+    model = train_learner(config, F_train, train.labels, seed)
+    t2 = time.monotonic()
+    pred = predict(model, F_test)
+    t_train, t_test = t2 - t1, time.monotonic() - t2
 
     accuracy = float(np.mean(pred == test.labels))
     return {

@@ -1,8 +1,12 @@
-"""Landmark selection strategies for the low-rank kernel approximation.
+"""Landmark selection for the low-rank kernel approximation.
 
-Five schemes: uniform, diagonal-weighted, column-norm-weighted, k-means
-centers and coreset (representation-error) weighting. All are deterministic
-given the seed; the RNG is pinned to numpy's PCG64.
+One entry point, ``select_landmarks``, runs the five schemes: uniform,
+diagonal-weighted, column-norm-weighted, k-means centers and coreset
+(representation-error) weighting. The three weighted schemes differ only in
+their weight function (``diagonal_weights``, ``column_norm_weights``,
+``coreset_weights``, all unnormalized) and share one draw without
+replacement. All are deterministic given the seed; the RNG is pinned to
+numpy's PCG64.
 """
 
 from __future__ import annotations
@@ -79,40 +83,23 @@ def _weighted_without_replacement(
     return np.argsort(keys, kind="stable")[:c]
 
 
-def sample_uniform(X: np.ndarray, c: int, seed: int) -> LandmarkSet:
-    """Uniform sampling of c columns without replacement."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    _check_c(c, X.shape[1])
-    idx = _rng(seed).choice(X.shape[1], size=c, replace=False)
-    return LandmarkSet(X[:, idx].copy(), idx)
-
-
-def sample_diagonal(
-    kernel: KernelSpec, X: np.ndarray, c: int, seed: int
-) -> LandmarkSet:
-    """Columns drawn with weight K_ii^2 / sum_j K_jj^2, using only the
-    diagonal (O(N) space)."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    _check_c(c, X.shape[1])
+def diagonal_weights(kernel: KernelSpec, X: np.ndarray) -> np.ndarray:
+    """Diagonal sampling weights K_ii^2, unnormalized; O(N) space."""
     d = kernel_diagonal(kernel, X)
     w = d * d
     if w.sum() <= 0:
         raise ValueError("kernel diagonal is identically zero")
-    idx = _weighted_without_replacement(w, c, _rng(seed))
-    return LandmarkSet(X[:, idx].copy(), idx)
+    return w
 
 
-def sample_column_norm(
-    kernel: KernelSpec, X: np.ndarray, c: int, seed: int
-) -> LandmarkSet:
-    """Columns drawn with weight ||k^i||^2 / ||K||_F^2.
+def column_norm_weights(kernel: KernelSpec, X: np.ndarray) -> np.ndarray:
+    """Column-norm sampling weights ||k^i||^2, unnormalized (they sum to
+    ||K||_F^2).
 
     Materializes the full N x N kernel matrix; errors out above the kernels'
     DEFAULT_MEMORY_BUDGET, advising a cheaper sampler.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     n = X.shape[1]
-    _check_c(c, n)
     if 8 * n * n > DEFAULT_MEMORY_BUDGET:
         raise MemoryError(
             "column-norm sampling needs the full kernel matrix "
@@ -123,49 +110,31 @@ def sample_column_norm(
     w = np.sum(K * K, axis=0)
     if w.sum() <= 0:
         raise ValueError("kernel matrix is identically zero")
-    idx = _weighted_without_replacement(w, c, _rng(seed))
-    return LandmarkSet(X[:, idx].copy(), idx)
+    return w
 
 
-def column_norm_weights(kernel: KernelSpec, X: np.ndarray) -> np.ndarray:
-    """Normalized column-norm sampling weights ||k^i||^2 / ||K||_F^2."""
-    K = kernel_matrix(kernel, np.atleast_2d(X), np.atleast_2d(X))
-    w = np.sum(K * K, axis=0)
-    return w / w.sum()
-
-
-def coreset_weights(X: np.ndarray) -> np.ndarray:
-    """Per-sample representation errors against the dataset mean.
+def coreset_weights(X: np.ndarray) -> np.ndarray | None:
+    """Per-sample representation errors against the dataset mean,
+    unnormalized; None, with a warning, when every sample is collinear with
+    the mean, so the draw falls back to uniform.
 
     err_i = ||x_i - mu * g_i||^2 with g_i the least-squares scalar
-    (mu.x_i)/(mu.mu). Returned unnormalized.
+    (mu.x_i)/(mu.mu).
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     mu = X.mean(axis=1)
     mtm = float(mu @ mu)
     if mtm <= 0:
         raise ValueError("dataset mean is zero; coreset weights undefined")
     g = (mu @ X) / mtm
     resid = X - np.outer(mu, g)
-    return np.sum(resid * resid, axis=0)
-
-
-def sample_coreset(X: np.ndarray, c: int, seed: int) -> LandmarkSet:
-    """Columns drawn with probability proportional to their representation
-    error against the dataset mean; falls back to uniform when every sample
-    is collinear with the mean."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    n = X.shape[1]
-    _check_c(c, n)
-    err = coreset_weights(X)
+    err = np.sum(resid * resid, axis=0)
     if err.sum() <= 1e-300 or err.max() <= 1e-12 * max(1.0, np.abs(X).max() ** 2):
         warnings.warn(
             "all samples are collinear with the mean; "
             "coreset sampling falls back to uniform"
         )
-        return sample_uniform(X, c, seed)
-    idx = _weighted_without_replacement(err, c, _rng(seed))
-    return LandmarkSet(X[:, idx].copy(), idx)
+        return None
+    return err
 
 
 #: Points per block of the k-means distance matrix.
@@ -244,21 +213,26 @@ def kmeans(X: np.ndarray, c: int, seed: int, max_iters: int = 100) -> np.ndarray
     return centers
 
 
-def sample_kmeans(X: np.ndarray, c: int, seed: int) -> LandmarkSet:
-    """Landmarks are the c k-means cluster centers of the columns of X."""
-    return LandmarkSet(kmeans(X, c, seed), None)
-
-
 def select_landmarks(
     X: np.ndarray, spec: SamplerSpec, kernel: KernelSpec
 ) -> LandmarkSet:
-    """Dispatch on SamplerSpec.method."""
-    if spec.method == "uniform":
-        return sample_uniform(X, spec.c, spec.seed)
-    if spec.method == "diagonal":
-        return sample_diagonal(kernel, X, spec.c, spec.seed)
-    if spec.method == "column_norm":
-        return sample_column_norm(kernel, X, spec.c, spec.seed)
+    """The ``spec.c`` landmarks ``spec.method`` selects from the columns of
+    X: the k-means centers, or columns drawn without replacement, uniformly
+    or with the method's weights."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    _check_c(spec.c, X.shape[1])
     if spec.method == "kmeans":
-        return sample_kmeans(X, spec.c, spec.seed)
-    return sample_coreset(X, spec.c, spec.seed)
+        return LandmarkSet(kmeans(X, spec.c, spec.seed), None)
+    w = None
+    if spec.method == "diagonal":
+        w = diagonal_weights(kernel, X)
+    elif spec.method == "column_norm":
+        w = column_norm_weights(kernel, X)
+    elif spec.method == "coreset":
+        w = coreset_weights(X)
+    rng = _rng(spec.seed)
+    if w is None:
+        idx = rng.choice(X.shape[1], size=spec.c, replace=False)
+    else:
+        idx = _weighted_without_replacement(w, spec.c, rng)
+    return LandmarkSet(X[:, idx].copy(), idx)

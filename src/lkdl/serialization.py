@@ -123,69 +123,47 @@ def load_nystrom_map(path) -> NystromMap:
     )
 
 
-def save_class_model(model: ClassDictionaryModel, path) -> None:
-    payload = _header(KIND_CLASS_MODEL) + struct.pack(
-        "<II", model.n_classes, model.q
-    )
-    payload += _pack_array(np.asarray(model.labels, dtype=np.float64).reshape(1, -1))
-    for D in model.dictionaries:
-        payload += _pack_array(D)
-    Path(path).write_bytes(payload)
+def save_model(model: ClassDictionaryModel | LCKSVDModel, path) -> None:
+    """Save a classifier of either kind in its own container."""
+    if isinstance(model, LCKSVDModel):
+        payload = _header(KIND_LCKSVD_MODEL) + struct.pack(
+            "<BIdd d", model.variant, model.q, model.sqrt_alpha,
+            model.sqrt_beta, model.tau2,
+        )
+        arrays = [model.classes, model.D, model.T, model.Theta, model.atom_scales]
+    else:
+        payload = _header(KIND_CLASS_MODEL) + struct.pack(
+            "<II", model.n_classes, model.q
+        )
+        arrays = [model.labels, *model.dictionaries]
+    # vectors (labels, classes, atom scales) are stored as 1 x n matrices
+    Path(path).write_bytes(payload + b"".join(map(_pack_array, arrays)))
 
 
-def load_class_model(path) -> ClassDictionaryModel:
+def load_model(path) -> ClassDictionaryModel | LCKSVDModel:
+    """Load a classifier container of either kind: a per-class model or an
+    LC-KSVD model."""
     kind, r = _open(path)
+    if kind == KIND_LCKSVD_MODEL:
+        variant, q, sa, sb, tau2 = r.unpack("<BIdd d")
+        classes = r.array().ravel().astype(np.int64)
+        D, T, Theta = r.array(), r.array(), r.array()
+        scales = r.array().ravel()
+        r.end()
+        if variant not in (1, 2):
+            raise ValueError(f"{path}: unknown LC-KSVD variant {variant}")
+        return LCKSVDModel(
+            D=D, T=T, Theta=Theta, sqrt_alpha=sa, sqrt_beta=sb,
+            variant=variant, tau2=tau2, q=q, classes=classes, atom_scales=scales,
+        )
     if kind != KIND_CLASS_MODEL:
         raise ValueError(f"{path}: container holds kind {kind}, not a model")
     n_classes, q = r.unpack("<II")
     labels = r.array().ravel().astype(np.int64)
     dictionaries = [r.array() for _ in range(n_classes)]
     r.end()
+    if q == 0:
+        raise ValueError(f"{path}: class model has cardinality q = 0")
+    if labels.size != n_classes or len({D.shape[0] for D in dictionaries}) != 1:
+        raise ValueError(f"{path}: inconsistent container dimensions")
     return ClassDictionaryModel(labels=labels, dictionaries=dictionaries, q=q)
-
-
-def save_model(model: ClassDictionaryModel | LCKSVDModel, path) -> None:
-    """Save a classifier of either kind in its own container."""
-    if isinstance(model, LCKSVDModel):
-        save_lcksvd_model(model, path)
-    else:
-        save_class_model(model, path)
-
-
-def load_model(path) -> ClassDictionaryModel | LCKSVDModel:
-    """Load a classifier container of either kind: a per-class model or an
-    LC-KSVD model."""
-    kind, _ = _open(path)
-    if kind == KIND_LCKSVD_MODEL:
-        return load_lcksvd_model(path)
-    return load_class_model(path)
-
-
-def save_lcksvd_model(model: LCKSVDModel, path) -> None:
-    payload = _header(KIND_LCKSVD_MODEL) + struct.pack(
-        "<BIdd d", model.variant, model.q, model.sqrt_alpha, model.sqrt_beta,
-        model.tau2,
-    )
-    payload += _pack_array(np.asarray(model.classes, dtype=np.float64).reshape(1, -1))
-    payload += _pack_array(model.D)
-    payload += _pack_array(model.T)
-    payload += _pack_array(model.Theta)
-    payload += _pack_array(model.atom_scales.reshape(1, -1))
-    Path(path).write_bytes(payload)
-
-
-def load_lcksvd_model(path) -> LCKSVDModel:
-    kind, r = _open(path)
-    if kind != KIND_LCKSVD_MODEL:
-        raise ValueError(f"{path}: container holds kind {kind}, not a model")
-    variant, q, sa, sb, tau2 = r.unpack("<BIdd d")
-    classes = r.array().ravel().astype(np.int64)
-    D = r.array()
-    T = r.array()
-    Theta = r.array()
-    scales = r.array().ravel()
-    r.end()
-    return LCKSVDModel(
-        D=D, T=T, Theta=Theta, sqrt_alpha=sa, sqrt_beta=sb,
-        variant=variant, tau2=tau2, q=q, classes=classes, atom_scales=scales,
-    )

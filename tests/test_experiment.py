@@ -115,6 +115,28 @@ def test_kernel_baseline_train_classify_direct():
     assert np.mean(pred == test.labels) >= 0.95
 
 
+
+def test_kernel_baseline_train_checks_label_count():
+    cfg = _mixture_config()
+    train, _ = load_split(cfg)
+    with pytest.raises(ValueError, match="label count does not match sample count"):
+        kernel_baseline_train(
+            train.samples, train.labels[:-1], cfg.kernel, 8, 1, 2, seed=0
+        )
+
+
+@pytest.mark.parametrize("learner_type", ["lcksvd", "foo"])
+def test_kernel_baseline_refuses_other_learners(learner_type):
+    # the exact-kernel baseline is the per-class learner on raw samples; any
+    # other learner type must not silently run it
+    cfg = _mixture_config(
+        pipeline="kernel_baseline",
+        learner={"type": learner_type, "m_per_class": 8, "q": 1, "iterations": 2},
+    )
+    train, test = load_split(cfg)
+    with pytest.raises(ValueError, match="kernel_baseline"):
+        run_single(cfg, train, test, seed=0)
+
 class _Stop(Exception):
     pass
 

@@ -4,16 +4,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lkdl.datasets import synth_gaussian_mixture
-from lkdl.kernels import KernelSpec
+from lkdl.kernels import KernelSpec, kernel_matrix
 from lkdl.sampling import (
     SamplerSpec,
     _weighted_without_replacement,
     column_norm_weights,
     coreset_weights,
     kmeans,
-    sample_coreset,
-    sample_diagonal,
-    sample_uniform,
     select_landmarks,
 )
 
@@ -83,22 +80,22 @@ def _reference_kmeans(
 
 def test_uniform_c_equals_n_is_permutation():
     X = _rand(3, 12)
-    lm = sample_uniform(X, 12, seed=4)
+    lm = select_landmarks(X, SamplerSpec("uniform", 12, 4), LINEAR)
     assert sorted(lm.source_indices.tolist()) == list(range(12))
     assert np.allclose(np.sort(lm.X_R[0]), np.sort(X[0]))
 
 
 def test_uniform_single_column():
     X = _rand(3, 1)
-    lm = sample_uniform(X, 1, seed=0)
+    lm = select_landmarks(X, SamplerSpec("uniform", 1, 0), LINEAR)
     assert lm.source_indices.tolist() == [0]
     assert np.array_equal(lm.X_R, X)
 
 
 def test_uniform_deterministic_by_seed():
     X = _rand(5, 100)
-    a = sample_uniform(X, 10, seed=7)
-    b = sample_uniform(X, 10, seed=7)
+    a = select_landmarks(X, SamplerSpec("uniform", 10, 7), LINEAR)
+    b = select_landmarks(X, SamplerSpec("uniform", 10, 7), LINEAR)
     assert np.array_equal(a.source_indices, b.source_indices)
 
 
@@ -108,7 +105,7 @@ def test_diagonal_gaussian_reduces_to_uniform_distribution():
     X = _rand(4, 20)
     counts = np.zeros(20)
     for seed in range(400):
-        lm = sample_diagonal(GAUSS, X, 5, seed)
+        lm = select_landmarks(X, SamplerSpec("diagonal", 5, seed), GAUSS)
         counts[lm.source_indices] += 1
     freq = counts / counts.sum()
     assert np.all(np.abs(freq - 1 / 20) < 0.025)
@@ -122,7 +119,7 @@ def test_diagonal_weight_of_scaled_column():
     hits = 0
     trials = 2000
     for seed in range(trials):
-        lm = sample_diagonal(LINEAR, X, 1, seed)
+        lm = select_landmarks(X, SamplerSpec("diagonal", 1, seed), LINEAR)
         hits += lm.source_indices[0] == 0
     expected = 1e4 / (2 + 1e4)
     assert hits / trials == pytest.approx(expected, abs=0.01)
@@ -130,24 +127,25 @@ def test_diagonal_weight_of_scaled_column():
 
 def test_diagonal_c_equals_n_selects_all():
     X = _rand(3, 6)
-    lm = sample_diagonal(LINEAR, X, 6, seed=1)
+    lm = select_landmarks(X, SamplerSpec("diagonal", 6, 1), LINEAR)
     assert sorted(lm.source_indices.tolist()) == list(range(6))
 
 
 def test_column_norm_weights_hand_example():
-    # K = [[1,0,1],[0,1,1],[1,1,2]] -> squared column norms {2, 2, 6}
+    # K = [[1,0,1],[0,1,1],[1,1,2]] -> squared column norms {2, 2, 6}; the
+    # weights are unnormalized, the draw takes them as they are
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])
     X = np.stack([e1, e2, e1 + e2], axis=1)
     w = column_norm_weights(LINEAR, X)
-    assert np.allclose(w, np.array([2.0, 2.0, 6.0]) / 10.0)
+    assert np.allclose(w, np.array([2.0, 2.0, 6.0]))
 
 
 def test_column_norm_identity_kernel_uniform_weights():
     # orthonormal columns under the linear kernel -> K = I -> equal weights
     Q, _ = np.linalg.qr(_rand(8, 5, seed=3))
     w = column_norm_weights(LINEAR, Q)
-    assert np.allclose(w, 1 / 5)
+    assert np.allclose(w / w.sum(), 1 / 5)
 
 
 def test_kmeans_c_equals_n_returns_columns():
@@ -228,7 +226,7 @@ def test_weighted_draws_skip_zero_weights():
     X = _rand(3, 10)
     X[:, [1, 4, 7]] = 0.0
     for seed in range(50):
-        lm = sample_diagonal(LINEAR, X, 7, seed)
+        lm = select_landmarks(X, SamplerSpec("diagonal", 7, seed), LINEAR)
         assert sorted(lm.source_indices.tolist()) == [0, 2, 3, 5, 6, 8, 9]
 
 
@@ -236,7 +234,7 @@ def test_weighted_draws_need_c_positive_weights():
     X = _rand(3, 6)
     X[:, 2:] = 0.0
     with pytest.raises(ValueError, match="only 2 of 6 sampling weights are positive"):
-        sample_diagonal(LINEAR, X, 3, seed=0)
+        select_landmarks(X, SamplerSpec("diagonal", 3, 0), LINEAR)
 
 
 def test_weighted_draws_follow_the_sequential_law():
@@ -257,7 +255,7 @@ def test_weighted_draws_follow_the_sequential_law():
 def test_coreset_identical_columns_falls_back_to_uniform():
     X = np.tile(np.array([[1.0], [2.0]]), (1, 10))
     with pytest.warns(UserWarning, match="uniform"):
-        lm = sample_coreset(X, 3, seed=0)
+        lm = select_landmarks(X, SamplerSpec("coreset", 3, 0), LINEAR)
     assert lm.c == 3
 
 
@@ -276,10 +274,12 @@ def test_coreset_orthogonal_column_takes_nearly_all_weight():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 6), st.integers(3, 15))
 def test_weight_vectors_normalize(seed, p, n):
+    # the unnormalized weights sum to ||K||_F^2
     X = np.random.default_rng(seed).standard_normal((p, n))
     w = column_norm_weights(GAUSS, X)
+    K = kernel_matrix(GAUSS, X, X)
     assert w.min() >= 0
-    assert abs(w.sum() - 1.0) < 1e-12
+    assert abs(w.sum() / np.sum(K * K) - 1.0) < 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -302,4 +302,4 @@ def test_sampler_spec_validation():
     with pytest.raises(ValueError):
         SamplerSpec(method="uniform", c=0)
     with pytest.raises(ValueError):
-        sample_uniform(_rand(2, 3), 4, seed=0)
+        select_landmarks(_rand(2, 3), SamplerSpec("uniform", 4, 0), LINEAR)

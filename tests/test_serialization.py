@@ -11,12 +11,8 @@ from lkdl.sampling import SamplerSpec
 from lkdl.serialization import (
     FORMAT_VERSION,
     MAGIC,
-    load_class_model,
-    load_lcksvd_model,
     load_model,
     load_nystrom_map,
-    save_class_model,
-    save_lcksvd_model,
     save_model,
     save_nystrom_map,
 )
@@ -50,15 +46,13 @@ def test_class_model_round_trip(tmp_path):
         q=2,
     )
     f = tmp_path / "model.lkdl"
-    for save, load in ((save_class_model, load_class_model),
-                       (save_model, load_model)):
-        save(model, f)
-        back = load(f)
-        assert isinstance(back, ClassDictionaryModel)
-        assert back.labels.tolist() == [1, 3, 9]
-        assert back.q == 2
-        for a, b in zip(back.dictionaries, model.dictionaries):
-            assert np.array_equal(a, b)
+    save_model(model, f)
+    back = load_model(f)
+    assert isinstance(back, ClassDictionaryModel)
+    assert back.labels.tolist() == [1, 3, 9]
+    assert back.q == 2
+    for a, b in zip(back.dictionaries, model.dictionaries):
+        assert np.array_equal(a, b)
 
 
 def test_lcksvd_model_round_trip(tmp_path):
@@ -72,19 +66,17 @@ def test_lcksvd_model_round_trip(tmp_path):
         atom_scales=rng.uniform(0.5, 2.0, 8),
     )
     f = tmp_path / "lcksvd.lkdl"
-    for save, load in ((save_lcksvd_model, load_lcksvd_model),
-                       (save_model, load_model)):
-        save(model, f)
-        back = load(f)
-        assert isinstance(back, LCKSVDModel)
-        assert np.array_equal(back.D, model.D)
-        assert np.array_equal(back.T, model.T)
-        assert np.array_equal(back.Theta, model.Theta)
-        assert np.array_equal(back.atom_scales, model.atom_scales)
-        assert back.classes.tolist() == [1, 2, 3]
-        assert (back.variant, back.q) == (2, 3)
-        assert back.sqrt_alpha == 1.5 and back.sqrt_beta == 0.5
-        assert back.tau2 == 1e-4
+    save_model(model, f)
+    back = load_model(f)
+    assert isinstance(back, LCKSVDModel)
+    assert np.array_equal(back.D, model.D)
+    assert np.array_equal(back.T, model.T)
+    assert np.array_equal(back.Theta, model.Theta)
+    assert np.array_equal(back.atom_scales, model.atom_scales)
+    assert back.classes.tolist() == [1, 2, 3]
+    assert (back.variant, back.q) == (2, 3)
+    assert back.sqrt_alpha == 1.5 and back.sqrt_beta == 0.5
+    assert back.tau2 == 1e-4
 
 
 def _class_model(rng, n_classes=3, d=5, m=4, q=2):
@@ -97,7 +89,7 @@ def _class_model(rng, n_classes=3, d=5, m=4, q=2):
 
 def test_header_magic_and_version(tmp_path):
     f = tmp_path / "model.lkdl"
-    save_class_model(_class_model(np.random.default_rng(6)), f)
+    save_model(_class_model(np.random.default_rng(6)), f)
     raw = f.read_bytes()
     assert raw[:4] == MAGIC == b"LKDL"
     version = int.from_bytes(raw[4:6], "little")
@@ -106,24 +98,50 @@ def test_header_magic_and_version(tmp_path):
 
 def test_corrupted_containers_rejected(tmp_path):
     f = tmp_path / "model.lkdl"
-    save_class_model(_class_model(np.random.default_rng(6)), f)
+    save_model(_class_model(np.random.default_rng(6)), f)
     raw = f.read_bytes()
 
     not_magic = tmp_path / "bad_magic.lkdl"
     not_magic.write_bytes(b"XXXX" + raw[4:])
     with pytest.raises(ValueError, match="container"):
-        load_class_model(not_magic)
+        load_model(not_magic)
 
     bad_version = tmp_path / "bad_version.lkdl"
     bad_version.write_bytes(raw[:4] + (99).to_bytes(2, "little") + raw[6:])
     with pytest.raises(ValueError, match="version"):
-        load_class_model(bad_version)
+        load_model(bad_version)
 
     truncated = tmp_path / "truncated.lkdl"
     truncated.write_bytes(raw[:-8])
     with pytest.raises(ValueError, match="truncated"):
-        load_class_model(truncated)
+        load_model(truncated)
 
+
+
+def test_corrupt_but_well_formed_models_rejected(tmp_path):
+    # every field parses, but the model it describes cannot classify
+    f = tmp_path / "model.lkdl"
+    save_model(_class_model(np.random.default_rng(6)), f)
+    raw = f.read_bytes()
+    # q is the u32 after the 8-byte header and the u32 class count
+    f.write_bytes(raw[:12] + (0).to_bytes(4, "little") + raw[16:])
+    with pytest.raises(ValueError, match="q = 0"):
+        load_model(f)
+    rng = np.random.default_rng(7)
+    for labels, rows in (([1, 2], (4, 5)), ([1, 2, 3], (4, 4)), ([], ())):
+        save_model(ClassDictionaryModel(
+            labels=np.array(labels),
+            dictionaries=[rng.standard_normal((d, 3)) for d in rows], q=1,
+        ), f)
+        with pytest.raises(ValueError, match="dimensions"):
+            load_model(f)
+    save_model(_random_artifact("lcksvd", 0)[0], f)
+    raw = f.read_bytes()
+    # the variant byte follows the 8-byte header
+    for variant in (0, 3, 7, 255):
+        f.write_bytes(raw[:8] + bytes([variant]) + raw[9:])
+        with pytest.raises(ValueError, match="variant"):
+            load_model(f)
 
 def _random_artifact(kind, seed):
     """A random artifact of ``kind`` with its (save, load) pair."""
@@ -138,7 +156,7 @@ def _random_artifact(kind, seed):
         return nmap, save_nystrom_map, load_nystrom_map
     if kind == "class_model":
         model = _class_model(rng, *(int(v) for v in rng.integers(1, 4, size=4)))
-        return model, save_class_model, load_class_model
+        return model, save_model, load_model
     d, m, L = (int(v) for v in rng.integers(1, 4, size=3))
     model = LCKSVDModel(
         D=rng.standard_normal((d, m)), T=rng.standard_normal((m, m)),
@@ -147,7 +165,7 @@ def _random_artifact(kind, seed):
         tau2=1e-4, q=int(rng.integers(1, 4)), classes=np.arange(L),
         atom_scales=rng.random(m),
     )
-    return model, save_lcksvd_model, load_lcksvd_model
+    return model, save_model, load_model
 
 
 @settings(max_examples=30, deadline=None)
