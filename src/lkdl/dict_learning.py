@@ -274,6 +274,12 @@ def _alternate(atoms, iterations, code, errors, update, clear):
     return atoms, Gamma, report
 
 
+def check_update_method(method: str) -> None:
+    """Refuse a dictionary update method other than ``mod`` or ``ksvd``."""
+    if method not in ("mod", "ksvd"):
+        raise ValueError(f"unknown dictionary update method: {method!r}")
+
+
 def learn(
     X: np.ndarray,
     m: int,
@@ -288,8 +294,7 @@ def learn(
     ``init`` may be a provided p x m dictionary; otherwise atoms start from
     a random subset of data columns. Returns (D, Gamma, LearnReport).
     """
-    if method not in ("mod", "ksvd"):
-        raise ValueError(f"unknown dictionary update method: {method!r}")
+    check_update_method(method)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if init is None:
         D = init_dictionary_from_columns(

@@ -35,7 +35,7 @@ from .classify import (
 from . import datasets as _datasets
 from . import lcksvd as _lcksvd
 from . import nystrom as _nystrom
-from .dict_learning import kernel_mod_learn
+from .dict_learning import check_update_method, kernel_mod_learn
 from .kernels import KernelSpec, kernel_diagonal, kernel_matrix
 from .sampling import SamplerSpec
 # ``komp`` is re-exported: code that looks up ``experiment.komp``, such as
@@ -243,7 +243,8 @@ def train_learner(config: ExperimentConfig, F_train, y_train, seed: int):
     """Train the model the config names on feature columns: the ``learner``
     section's ``type`` (``per_class`` or ``lcksvd``), or for the
     ``kernel_baseline`` pipeline, whose features are the raw samples, the
-    exact-kernel per-class model (``per_class`` only)."""
+    exact-kernel per-class model (``per_class`` only; it runs kernel MOD
+    for either update method)."""
     s = {**LEARNER_DEFAULTS, **config.learner}
     if config.pipeline == "kernel_baseline":
         if s["type"] != "per_class":
@@ -251,6 +252,7 @@ def train_learner(config: ExperimentConfig, F_train, y_train, seed: int):
                 "pipeline 'kernel_baseline' takes only the 'per_class' "
                 f"learner, not {s['type']!r}"
             )
+        check_update_method(s["method"])
         return kernel_baseline_train(
             F_train, y_train, config.kernel, m_per_class=s["m_per_class"],
             q=s["q"], iterations=s["iterations"], seed=seed,

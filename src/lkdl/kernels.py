@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Memory budget (bytes) above which kernel matrices are evaluated block-wise.
-DEFAULT_MEMORY_BUDGET = 2 << 30
+#: Columns of Y per block of a kernel-matrix evaluation.
+_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -61,30 +61,12 @@ def kernel_eval(kernel: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.exp(-d2 / (2.0 * kernel.sigma**2)))
 
 
-def _kernel_block(kernel: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    G = X.T @ Y
-    if kernel.kind == "linear":
-        return G
-    if kernel.kind == "polynomial":
-        return (G + kernel.coef0) ** kernel.degree
-    sx = np.sum(X * X, axis=0)[:, None]
-    sy = np.sum(Y * Y, axis=0)[None, :]
-    d2 = np.maximum(sx + sy - 2.0 * G, 0.0)
-    return np.exp(-d2 / (2.0 * kernel.sigma**2))
-
-
-def kernel_matrix(
-    kernel: KernelSpec,
-    X: np.ndarray,
-    Y: np.ndarray,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
-) -> np.ndarray:
+def kernel_matrix(kernel: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Dense kernel matrix K[i, j] = kappa(X[:, i], Y[:, j]).
 
-    Samples are columns. Evaluation proceeds in column blocks of Y when the
-    result would exceed ``memory_budget`` bytes of scratch per block, so only
-    O(N_X * block) temporaries are live at a time. The result itself is
-    always materialized dense.
+    Samples are columns. Each block of ``_BLOCK`` columns of Y is evaluated
+    in place in its slice of K, with O(N_X * _BLOCK) scratch and the
+    elementwise operations of the one-shot closed form.
     """
     X = _check_samples(np.atleast_2d(X), "X")
     Y = _check_samples(np.atleast_2d(Y), "Y")
@@ -92,14 +74,23 @@ def kernel_matrix(
         raise ValueError(
             f"sample dimension mismatch: {X.shape[0]} vs {Y.shape[0]}"
         )
-    n_x, n_y = X.shape[1], Y.shape[1]
-    out = np.empty((n_x, n_y), dtype=np.float64)
-    # 3 float64 temporaries of shape (n_x, block) live during a block.
-    block = max(1, int(memory_budget // max(1, 24 * n_x)))
-    for start in range(0, n_y, block):
-        stop = min(start + block, n_y)
-        out[:, start:stop] = _kernel_block(kernel, X, Y[:, start:stop])
-    return out
+    K = np.empty((X.shape[1], Y.shape[1]))
+    if kernel.kind == "gaussian":
+        sx = np.sum(X * X, axis=0)[:, None]
+    for start in range(0, Y.shape[1], _BLOCK):
+        Yb, G = Y[:, start : start + _BLOCK], K[:, start : start + _BLOCK]
+        np.matmul(X.T, Yb, out=G)
+        if kernel.kind == "polynomial":
+            G += kernel.coef0
+            G **= kernel.degree
+        elif kernel.kind == "gaussian":
+            # d2 = max(|x|^2 + |y|^2 - 2 x.y, 0), then exp(-d2 / (2 sigma^2))
+            G *= 2.0
+            np.subtract(sx + np.sum(Yb * Yb, axis=0), G, out=G)
+            np.maximum(G, 0.0, out=G)
+            G /= -(2.0 * kernel.sigma**2)
+            np.exp(G, out=G)
+    return K
 
 
 def kernel_diagonal(kernel: KernelSpec, X: np.ndarray) -> np.ndarray:

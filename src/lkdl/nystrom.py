@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, kernel_matrix
+from .kernels import _BLOCK, KernelSpec, kernel_matrix
 from .sampling import LandmarkSet, SamplerSpec, select_landmarks
 
 #: Relative eigenvalue cutoff used in place of an exact pseudo-inverse.
@@ -119,14 +119,19 @@ def fit_from_landmarks(
 
 def transform(nmap: NystromMap, X: np.ndarray) -> np.ndarray:
     """Map samples (columns of X) to k-dimensional virtual samples
-    F = Sigma_k^{-1/2} V_k^T K(X_R, X). Identical for train and test sets."""
+    F = Sigma_k^{-1/2} V_k^T K(X_R, X), identical for train and test sets,
+    _BLOCK samples at a time: no c x N block of K(X_R, X) is ever held."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[0] != nmap.p:
         raise ValueError(
             f"sample dimension {X.shape[0]} does not match landmarks ({nmap.p})"
         )
-    C = kernel_matrix(nmap.kernel, nmap.X_R, X)
-    return (nmap.V_k.T @ C) / np.sqrt(nmap.sigma_k)[:, None]
+    F = np.empty((nmap.k, X.shape[1]))
+    root_sigma = np.sqrt(nmap.sigma_k)[:, None]
+    for start in range(0, X.shape[1], _BLOCK):
+        C = kernel_matrix(nmap.kernel, nmap.X_R, X[:, start : start + _BLOCK])
+        np.divide(nmap.V_k.T @ C, root_sigma, out=F[:, start : start + _BLOCK])
+    return F
 
 
 def exact_virtual_samples(K: np.ndarray, k: int) -> np.ndarray:

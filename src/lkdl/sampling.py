@@ -16,9 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (
-    DEFAULT_MEMORY_BUDGET, KernelSpec, kernel_diagonal, kernel_matrix,
-)
+from .kernels import _BLOCK, KernelSpec, kernel_diagonal, kernel_matrix
 
 SAMPLER_METHODS = ("uniform", "diagonal", "column_norm", "kmeans", "coreset")
 
@@ -94,20 +92,11 @@ def diagonal_weights(kernel: KernelSpec, X: np.ndarray) -> np.ndarray:
 
 def column_norm_weights(kernel: KernelSpec, X: np.ndarray) -> np.ndarray:
     """Column-norm sampling weights ||k^i||^2, unnormalized (they sum to
-    ||K||_F^2).
-
-    Materializes the full N x N kernel matrix; errors out above the kernels'
-    DEFAULT_MEMORY_BUDGET, advising a cheaper sampler.
-    """
-    n = X.shape[1]
-    if 8 * n * n > DEFAULT_MEMORY_BUDGET:
-        raise MemoryError(
-            "column-norm sampling needs the full kernel matrix "
-            f"({n}x{n} exceeds the memory budget); use diagonal, uniform, "
-            "kmeans or coreset sampling instead"
-        )
-    K = kernel_matrix(kernel, X, X)
-    w = np.sum(K * K, axis=0)
+    ||K||_F^2), from _BLOCK columns of K at a time: K is never whole."""
+    w = np.empty(X.shape[1])
+    for start in range(0, X.shape[1], _BLOCK):
+        K = kernel_matrix(kernel, X, X[:, start : start + _BLOCK])
+        w[start : start + _BLOCK] = np.sum(K * K, axis=0)
     if w.sum() <= 0:
         raise ValueError("kernel matrix is identically zero")
     return w
@@ -137,8 +126,12 @@ def coreset_weights(X: np.ndarray) -> np.ndarray | None:
     return err
 
 
-#: Points per block of the k-means distance matrix.
-_BLOCK = 512
+def _draw(p: np.ndarray, rng: np.random.Generator) -> int:
+    """The index ``rng.choice(p.size, p=p)`` draws, from the same random
+    stream, without choice's O(N) validation of p."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def kmeans(X: np.ndarray, c: int, seed: int, max_iters: int = 100) -> np.ndarray:
@@ -169,7 +162,7 @@ def kmeans(X: np.ndarray, c: int, seed: int, max_iters: int = 100) -> np.ndarray
         if total <= 0:
             centers[:, j] = X[:, rng.integers(n)]
             continue
-        centers[:, j] = X[:, rng.choice(n, p=d2 / total)]
+        centers[:, j] = X[:, _draw(d2 / total, rng)]
         np.subtract(X, centers[:, [j]], out=diff)
         np.square(diff, out=diff)
         np.minimum(d2, np.sum(diff, axis=0, out=d2_j), out=d2)

@@ -137,6 +137,19 @@ def test_kernel_baseline_refuses_other_learners(learner_type):
     with pytest.raises(ValueError, match="kernel_baseline"):
         run_single(cfg, train, test, seed=0)
 
+@pytest.mark.parametrize("pipeline", ["lkdl", "kernel_baseline"])
+def test_unknown_update_method_refused(pipeline):
+    # the exact-kernel baseline runs kernel MOD for ksvd and mod alike, but
+    # refuses a method no pipeline knows, as learn does
+    cfg = _mixture_config(
+        pipeline=pipeline,
+        learner={"method": "foo", "m_per_class": 8, "q": 1, "iterations": 2},
+    )
+    train, test = load_split(cfg)
+    with pytest.raises(ValueError, match="unknown dictionary update method: 'foo'"):
+        run_single(cfg, train, test, seed=0)
+
+
 class _Stop(Exception):
     pass
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lkdl.kernels import (
+    _BLOCK,
     KernelSpec,
     kernel_diagonal,
     kernel_eval,
@@ -62,14 +63,26 @@ def test_kernel_diagonal_matches_matrix_diagonal():
         assert np.allclose(kernel_diagonal(spec, X), np.diag(K), atol=1e-12)
 
 
+def _one_shot(spec, X, Y):
+    # the closed form over the whole of Y at once
+    G = X.T @ Y
+    if spec.kind == "linear":
+        return G
+    if spec.kind == "polynomial":
+        return (G + spec.coef0) ** spec.degree
+    d2 = np.sum(X * X, axis=0)[:, None] + np.sum(Y * Y, axis=0)[None, :] - 2 * G
+    return np.exp(-np.maximum(d2, 0.0) / (2 * spec.sigma**2))
+
+
 def test_blockwise_evaluation_matches_direct():
-    # force the block path with a tiny memory budget
+    # two block boundaries and a ragged tail
     X = np.random.default_rng(3).standard_normal((6, 64))
-    Y = np.random.default_rng(4).standard_normal((6, 37))
-    for spec in (LINEAR, GAUSS):
-        full = kernel_matrix(spec, X, Y)
-        blocked = kernel_matrix(spec, X, Y, memory_budget=1024)
-        assert np.allclose(full, blocked, atol=1e-12)
+    Y = np.random.default_rng(4).standard_normal((6, 2 * _BLOCK + 37))
+    poly = KernelSpec(kind="polynomial", degree=3, coef0=1.0)
+    for spec in (LINEAR, GAUSS, poly):
+        assert np.allclose(
+            kernel_matrix(spec, X, Y), _one_shot(spec, X, Y), rtol=1e-12, atol=1e-12
+        )
 
 
 def test_cross_matrix_shape_and_symmetry():

@@ -1,9 +1,10 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from lkdl.kernels import KernelSpec, kernel_matrix
+from lkdl.kernels import _BLOCK, KernelSpec, kernel_matrix
 from lkdl.nystrom import (
     EIG_RTOL,
     approximation_error,
@@ -68,6 +69,28 @@ def test_single_test_vector_consistency():
     F_land = transform(nmap, nmap.X_R)
     f = transform(nmap, nmap.X_R[:, [0]])
     assert np.allclose(f[:, 0], F_land[:, 0], atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK, 2 * _BLOCK + 3])
+def test_transform_equals_the_one_shot_formula(n):
+    X = _rand(5, n, seed=4)
+    nmap = fit(_rand(5, 60, seed=3), GAUSS, SamplerSpec("uniform", 40, 0), k=10)
+    C = kernel_matrix(GAUSS, nmap.X_R, X)
+    one_shot = (nmap.V_k.T @ C) / np.sqrt(nmap.sigma_k)[:, None]
+    assert np.array_equal(transform(nmap, X), one_shot)
+
+
+def test_transform_holds_no_c_by_n_matrix():
+    # c = 400, N = 20000: K(X_R, X) whole would take 64 MB
+    nmap = fit_from_landmarks(LandmarkSet(_rand(3, 400, seed=8)), GAUSS, k=8)
+    X = _rand(3, 20_000, seed=9)
+    tracemalloc.start()
+    try:
+        transform(nmap, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_exact_virtual_samples_identity_kernel():

@@ -4,9 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lkdl.datasets import synth_gaussian_mixture
-from lkdl.kernels import KernelSpec, kernel_matrix
+from lkdl.kernels import _BLOCK, KernelSpec, kernel_matrix
 from lkdl.sampling import (
     SamplerSpec,
+    _draw,
     _weighted_without_replacement,
     column_norm_weights,
     coreset_weights,
@@ -146,6 +147,28 @@ def test_column_norm_identity_kernel_uniform_weights():
     Q, _ = np.linalg.qr(_rand(8, 5, seed=3))
     w = column_norm_weights(LINEAR, Q)
     assert np.allclose(w / w.sum(), 1 / 5)
+
+
+def test_column_norm_weights_equal_the_dense_column_sums():
+    # N crosses a block boundary, so K is formed in two blocks
+    X = _rand(4, _BLOCK + 45, seed=7)
+    for spec in (LINEAR, GAUSS):
+        K = kernel_matrix(spec, X, X)
+        w = column_norm_weights(spec, X)
+        assert np.allclose(w, np.sum(K * K, axis=0), rtol=1e-12, atol=0)
+
+
+def test_draw_matches_rng_choice():
+    # skewed weights with zeros, as k-means++ sees them: same index as
+    # rng.choice draw for draw, and the generator left in the same state
+    source = np.random.default_rng(5)
+    ours = np.random.Generator(np.random.PCG64(11))
+    theirs = np.random.Generator(np.random.PCG64(11))
+    for _ in range(1000):
+        w = source.pareto(0.7, 400) * (source.random(400) < 0.8)
+        p = w / w.sum()
+        assert _draw(p, ours) == theirs.choice(p.size, p=p)
+    assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_kmeans_c_equals_n_returns_columns():
