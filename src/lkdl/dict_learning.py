@@ -11,6 +11,7 @@ inner-product space given by K.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -112,49 +113,61 @@ def mod_update(X: np.ndarray, Gamma: np.ndarray):
 
 
 def _top_singular_triplet(E: np.ndarray):
-    """Dominant singular triplet of E by alternating power iteration, until
-    the left vector moves by less than 1e-10 or for at most 1000 steps."""
-    start = int(np.argmax(np.sum(E * E, axis=0)))
-    u = E[:, start]
-    nu = np.linalg.norm(u)
-    if nu == 0:
+    """Dominant singular triplet (u, s, v) of E, or None when E is zero.
+
+    Power iteration on M^4, M the Gram matrix of E on its smaller side
+    (E E^T when E has no more rows than columns, else E^T E) scaled to unit
+    trace, so one step is four alternating steps on E. It starts from E's
+    largest column and stops when a step moves the iterate by less than
+    1e-10, or after 250 steps (1000 alternating steps)."""
+    energy = np.einsum("ij,ij->j", E, E)
+    start = int(np.argmax(energy))
+    if energy[start] == 0:
         return None
-    u = u / nu
-    for _ in range(1000):
-        w = E.T @ u
-        v = E @ w
-        s_new = np.linalg.norm(v)
-        if s_new == 0:
+    rows = E.shape[0] <= E.shape[1]
+    M = (E @ E.T if rows else E.T @ E) / float(energy.sum())
+    # on the E^T E side, E's largest column enters as E^T E e_start
+    x = E[:, start] if rows else M[:, start]
+    x = x / math.sqrt(x @ x)
+    M = M @ M
+    M = M @ M
+    for _ in range(250):
+        y = M @ x
+        s = math.sqrt(y @ y)
+        if s == 0:
             break
-        u_new = v / s_new
-        if np.linalg.norm(u_new - u) < 1e-10:
-            u = u_new
+        y /= s
+        d = y - x
+        x = y
+        if math.sqrt(d @ d) < 1e-10:
             break
-        u = u_new
-    v = E.T @ u
-    s = np.linalg.norm(v)
+    w = E.T @ x if rows else E @ x
+    s = math.sqrt(w @ w)
     if s == 0:
         return None
-    return u, s, v / s
+    return (x, s, w / s) if rows else (w / s, s, x)
 
 
 def ksvd_update(X: np.ndarray, D: np.ndarray, Gamma: np.ndarray):
     """Sequential atom-by-atom update: each atom and its coefficient row are
     replaced by the rank-1 factorization of the residual restricted to the
-    signals that use the atom. Supports are unchanged. Atoms used by no
-    signal are replaced by the currently worst-represented signal.
+    signals that use the atom (``_top_singular_triplet``). Supports are
+    unchanged. The residual R = X - D Gamma is formed once and kept current:
+    after atom j changes only its users' columns are rewritten. Atoms used
+    by no signal are replaced by the worst-represented signal, the largest
+    column of R.
 
     Returns (D, Gamma, replaced) with ``replaced`` the dead-atom count.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     D = np.array(D, dtype=np.float64)
     Gamma = np.array(Gamma, dtype=np.float64)
+    R = X - D @ Gamma
     m = D.shape[1]
     replaced = 0
     for j in range(m):
         users = np.flatnonzero(Gamma[j, :] != 0)
         if users.size == 0:
-            R = X - D @ Gamma
             worst = int(np.argmax(np.sum(R * R, axis=0)))
             col = X[:, worst]
             norm = np.linalg.norm(col)
@@ -162,17 +175,14 @@ def ksvd_update(X: np.ndarray, D: np.ndarray, Gamma: np.ndarray):
                 D[:, j] = col / norm
                 replaced += 1
             continue
-        E = (
-            X[:, users]
-            - D @ Gamma[:, users]
-            + np.outer(D[:, j], Gamma[j, users])
-        )
+        E = R[:, users] + np.outer(D[:, j], Gamma[j, users])
         triplet = _top_singular_triplet(E)
         if triplet is None:
             continue
         u, s, v = triplet
         D[:, j] = u
         Gamma[j, users] = s * v
+        R[:, users] = E - np.outer(u, Gamma[j, users])
     return D, Gamma, replaced
 
 

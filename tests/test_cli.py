@@ -149,22 +149,30 @@ def test_train_refuses_unknown_learner_type(mixture_config, tmp_path):
     assert not list(tmp_path.rglob("*.lkdl"))
 
 
+@pytest.mark.parametrize("method", ["ksvd", "mod"])
 @pytest.mark.parametrize("learner, column", [
     ("per_class", "residual"),
     ("lcksvd", "score"),
 ])
+@pytest.mark.parametrize("pipeline", ["linear", "lkdl"])
 def test_train_classify_accuracy_equals_run_single(
-    mixture_config, tmp_path, learner, column
+    mixture_config, tmp_path, pipeline, learner, column, method
 ):
-    overrides = [f"learner.type={learner}", "learner.m=8"]
+    # q = 2: K-SVD runs on overlapping supports through train -> save ->
+    # load -> classify; the linear pipeline has no map to pass
+    overrides = [f"pipeline={pipeline}", f"learner.type={learner}",
+                 "learner.m=8", "learner.q=2", f"learner.method={method}"]
     sets = [arg for item in overrides for arg in ("--set", item)]
     model_dir, pred_dir = tmp_path / "model_dir", tmp_path / "pred_dir"
     assert main(["train", "--config", str(mixture_config),
                  "--out", str(model_dir)] + sets) == 0
+    map_path = model_dir / "nystrom_map.lkdl"
+    assert map_path.exists() == (pipeline == "lkdl")
+    map_args = ["--map", str(map_path)] if pipeline == "lkdl" else []
     assert main(["classify", "--config", str(mixture_config),
                  "--out", str(pred_dir),
-                 "--model", str(model_dir / "model.lkdl"),
-                 "--map", str(model_dir / "nystrom_map.lkdl")] + sets) == 0
+                 "--model", str(model_dir / "model.lkdl")]
+                + map_args + sets) == 0
     with (pred_dir / "predictions.csv").open() as fh:
         reader = csv.reader(fh)
         header = next(reader)

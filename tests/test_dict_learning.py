@@ -109,11 +109,250 @@ def test_ksvd_objective_non_increasing_per_call():
 
 
 def test_top_singular_triplet_matches_svd():
-    E = _rand(8, 12, seed=4)
+    # E E^T side (p < n), the square case and the E^T E side (p > n)
+    for shape in ((8, 12), (9, 9), (12, 5)):
+        for seed in range(4, 9):
+            E = _rand(*shape, seed=seed)
+            u, s, v = _top_singular_triplet(E)
+            U, sv, Vt = np.linalg.svd(E)
+            assert s == pytest.approx(sv[0], rel=1e-12)
+            assert abs(abs(u @ U[:, 0]) - 1.0) < 1e-8
+            assert abs(abs(v @ Vt[0]) - 1.0) < 1e-8
+            # one triplet: E v = s u and E^T u = s v
+            assert np.allclose(E @ v, s * u, rtol=0.0, atol=1e-8 * s)
+            assert np.allclose(E.T @ u, s * v, rtol=0.0, atol=1e-8 * s)
+
+
+@pytest.mark.parametrize("shape", [(6, 10), (10, 6)])
+def test_top_singular_triplet_of_rank_one_matrix(shape):
+    rng = np.random.default_rng(13)
+    a, b = rng.standard_normal(shape[0]), rng.standard_normal(shape[1])
+    u, s, v = _top_singular_triplet(np.outer(a, b))
+    assert s == pytest.approx(np.linalg.norm(a) * np.linalg.norm(b), rel=1e-12)
+    assert abs(abs(u @ a) / np.linalg.norm(a) - 1.0) < 1e-12
+    assert abs(abs(v @ b) / np.linalg.norm(b) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(4, 7), (7, 4), (1, 1)])
+def test_top_singular_triplet_of_zero_matrix_is_none(shape):
+    assert _top_singular_triplet(np.zeros(shape)) is None
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e-100])
+@pytest.mark.parametrize("shape", [(6, 11), (11, 6)])
+def test_top_singular_triplet_of_extreme_scales(scale, shape):
+    # the Gram matrix is scaled to unit trace before its fourth power, so
+    # neither overflows nor underflows
+    E = _rand(*shape, seed=14) * scale
     u, s, v = _top_singular_triplet(E)
     U, sv, Vt = np.linalg.svd(E)
-    assert s == pytest.approx(sv[0], rel=1e-8)
-    assert abs(abs(u @ U[:, 0]) - 1.0) < 1e-6
+    assert s == pytest.approx(sv[0], rel=1e-12)
+    assert abs(abs(u @ U[:, 0]) - 1.0) < 1e-8
+    assert abs(abs(v @ Vt[0]) - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("shape", [(6, 9), (9, 6)])
+def test_top_singular_triplet_of_near_tied_pair(shape):
+    # sigma_1 / sigma_2 = 1 + 1e-9: the iterate cannot settle inside the
+    # top pair's plane, but it leaves the rest of the spectrum and the step
+    # cap ends the iteration with unit vectors in that plane
+    rng = np.random.default_rng(15)
+    U, _ = np.linalg.qr(rng.standard_normal((shape[0], 4)))
+    V, _ = np.linalg.qr(rng.standard_normal((shape[1], 4)))
+    sv = np.array([1.0, 1.0 - 1e-9, 0.6, 0.2])
+    E = (U * sv) @ V.T
+    u, s, v = _top_singular_triplet(E)
+    assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-14)
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+    assert np.linalg.norm(u - U[:, :2] @ (U[:, :2].T @ u)) < 1e-8
+    assert np.linalg.norm(v - V[:, :2] @ (V[:, :2].T @ v)) < 1e-8
+    assert s == pytest.approx(1.0, abs=2e-9)
+
+
+# Reference: the K-SVD update before the kept residual and the M^4 power
+# steps, verbatim; it rebuilt every atom's residual from X - D Gamma,
+# recomputed X - D Gamma for each dead atom and made alternating power
+# steps on E.
+
+def _reference_top_singular_triplet(E: np.ndarray):
+    """Dominant singular triplet of E by alternating power iteration, until
+    the left vector moves by less than 1e-10 or for at most 1000 steps."""
+    start = int(np.argmax(np.sum(E * E, axis=0)))
+    u = E[:, start]
+    nu = np.linalg.norm(u)
+    if nu == 0:
+        return None
+    u = u / nu
+    for _ in range(1000):
+        w = E.T @ u
+        v = E @ w
+        s_new = np.linalg.norm(v)
+        if s_new == 0:
+            break
+        u_new = v / s_new
+        if np.linalg.norm(u_new - u) < 1e-10:
+            u = u_new
+            break
+        u = u_new
+    v = E.T @ u
+    s = np.linalg.norm(v)
+    if s == 0:
+        return None
+    return u, s, v / s
+
+
+def _reference_ksvd_update(X: np.ndarray, D: np.ndarray, Gamma: np.ndarray):
+    """Sequential atom-by-atom update: each atom and its coefficient row are
+    replaced by the rank-1 factorization of the residual restricted to the
+    signals that use the atom. Supports are unchanged. Atoms used by no
+    signal are replaced by the currently worst-represented signal.
+
+    Returns (D, Gamma, replaced) with ``replaced`` the dead-atom count.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    D = np.array(D, dtype=np.float64)
+    Gamma = np.array(Gamma, dtype=np.float64)
+    m = D.shape[1]
+    replaced = 0
+    for j in range(m):
+        users = np.flatnonzero(Gamma[j, :] != 0)
+        if users.size == 0:
+            R = X - D @ Gamma
+            worst = int(np.argmax(np.sum(R * R, axis=0)))
+            col = X[:, worst]
+            norm = np.linalg.norm(col)
+            if norm > 0:
+                D[:, j] = col / norm
+                replaced += 1
+            continue
+        E = (
+            X[:, users]
+            - D @ Gamma[:, users]
+            + np.outer(D[:, j], Gamma[j, users])
+        )
+        triplet = _reference_top_singular_triplet(E)
+        if triplet is None:
+            continue
+        u, s, v = triplet
+        D[:, j] = u
+        Gamma[j, users] = s * v
+    return D, Gamma, replaced
+
+
+def _svd_ksvd_update(X, D, Gamma):
+    """The reference sweep with exact triplets from np.linalg.svd, signed
+    like the power iterations (u along the start column)."""
+    D, Gamma = D.copy(), Gamma.copy()
+    for j in range(D.shape[1]):
+        users = np.flatnonzero(Gamma[j, :] != 0)
+        if users.size == 0:
+            R = X - D @ Gamma
+            worst = int(np.argmax(np.sum(R * R, axis=0)))
+            D[:, j] = X[:, worst] / np.linalg.norm(X[:, worst])
+            continue
+        E = X[:, users] - D @ Gamma[:, users] + np.outer(D[:, j], Gamma[j, users])
+        U, sv, Vt = np.linalg.svd(E, full_matrices=False)
+        sign = 1.0 if U[:, 0] @ E[:, np.argmax(np.sum(E * E, axis=0))] >= 0 else -1.0
+        D[:, j] = sign * U[:, 0]
+        Gamma[j, users] = sign * sv[0] * Vt[0]
+    return D, Gamma
+
+
+def _random_ksvd_case(p, n, m, q, seed, dead=0, duplicates=False):
+    """Gaussian signals and atoms: the atoms' residuals have top singular
+    pairs as close as chance makes them."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((p, n))
+    D = rng.standard_normal((p, m))
+    if duplicates:
+        X[:, n // 2:] = X[:, : n - n // 2]  # every signal twice
+        D[:, 1] = D[:, 0]
+    D /= np.linalg.norm(D, axis=0)
+    Gamma = omp_batch(D, X, q)
+    if dead:
+        # dead atoms late in the order, after updates moved the residual
+        Gamma[rng.choice(np.arange(m // 2, m), dead, replace=False)] = 0.0
+    return X, D, Gamma
+
+
+def _planted_ksvd_case(p, n, m, q, seed, dead=0, duplicates=False):
+    """Signals q-sparse in m - dead planted atoms plus 1 % noise, coded over
+    the planted atoms perturbed by 2 %; ``dead`` more atoms, spread over the
+    order, code nothing. Each atom's residual is then dominated by its own
+    rank-1 part, so both power iterations converge to rounding."""
+    rng = np.random.default_rng(seed)
+    D0 = rng.standard_normal((p, m))
+    D0 /= np.linalg.norm(D0, axis=0)
+    G0 = np.zeros((m, n))
+    for i in range(n):
+        G0[rng.choice(m - dead, q, replace=False), i] = (
+            rng.uniform(1.0, 2.0, q) * rng.choice([-1.0, 1.0], q)
+        )
+    X = D0 @ G0 + 0.01 * rng.standard_normal((p, n))
+    if duplicates:
+        X[:, n // 2:] = X[:, : n - n // 2]  # every signal twice
+    D = D0 + 0.02 * rng.standard_normal((p, m))
+    D /= np.linalg.norm(D, axis=0)
+    order = rng.permutation(m)
+    D = D[:, order]
+    live = order < m - dead
+    Gamma = np.zeros((m, n))
+    Gamma[live] = omp_batch(D[:, live], X, q)
+    return X, D, Gamma
+
+
+# (p, n, m, q, dead, duplicates): q = 1 has disjoint supports, q > 1
+# overlapping ones; p = 6 puts most atoms on the E E^T side, p = 30 all of
+# them on the E^T E side, p = 8 and 12 both sides within one update
+_KSVD_CASES = [
+    (6, 80, 10, 1, 0, False),
+    (6, 80, 10, 2, 0, False),
+    (6, 80, 10, 3, 0, False),
+    (30, 40, 20, 1, 0, False),
+    (30, 40, 20, 2, 0, False),
+    (30, 40, 20, 3, 0, False),
+    (12, 60, 12, 2, 0, False),
+    (8, 50, 12, 2, 4, False),
+    (20, 30, 16, 3, 5, False),
+    (8, 60, 10, 2, 0, True),
+    (8, 60, 10, 3, 2, True),
+]
+
+
+@pytest.mark.parametrize("p, n, m, q, dead, duplicates", _KSVD_CASES)
+def test_ksvd_update_matches_the_reference(p, n, m, q, dead, duplicates):
+    for seed in range(10):
+        X, D, Gamma = _planted_ksvd_case(p, n, m, q, seed, dead, duplicates)
+        D0, G0, replaced0 = _reference_ksvd_update(X, D, Gamma)
+        D1, G1, replaced1 = ksvd_update(X, D, Gamma)
+        assert replaced1 == replaced0
+        assert np.array_equal(G1 != 0, G0 != 0)
+        assert np.max(np.abs(D1 - D0)) <= 1e-8
+        assert np.max(np.abs(G1 - G0)) <= 1e-8
+        assert reconstruction_objective(X, D1, G1) <= (
+            reconstruction_objective(X, D0, G0) * (1 + 1e-12)
+            + 1e-12 * np.sum(X * X)
+        )
+
+
+@pytest.mark.parametrize("p, n, m, q, dead, duplicates", _KSVD_CASES)
+def test_ksvd_update_is_no_farther_from_the_svd_than_the_reference(
+    p, n, m, q, dead, duplicates
+):
+    # with near-tied top pairs the reference's 1e-10 step rule leaves its
+    # iterate up to ~2e-8 off the singular vector, and the sweep's objective
+    # moves to first order with it; a step on M^4 is four reference steps,
+    # so the same rule stops closer to the exact sweep
+    for seed in range(10):
+        X, D, Gamma = _random_ksvd_case(p, n, m, q, seed, dead, duplicates)
+        D0, G0, replaced0 = _reference_ksvd_update(X, D, Gamma)
+        D1, G1, replaced1 = ksvd_update(X, D, Gamma)
+        assert replaced1 == replaced0
+        assert np.array_equal(G1 != 0, G0 != 0)
+        Ds, Gs = _svd_ksvd_update(X, D, Gamma)
+        assert max(np.max(np.abs(D1 - Ds)), np.max(np.abs(G1 - Gs))) <= max(
+            np.max(np.abs(D0 - Ds)), np.max(np.abs(G0 - Gs))
+        ) + 1e-12
 
 
 # ----------------------------------------------------------------- learning
@@ -238,6 +477,14 @@ def test_clear_coefficient_dictionary_mirrors_linear_clearing():
     D2, replaced_lin = clear_dictionary(X, X @ A, Gamma)
     assert replaced_lin == replaced
     assert np.abs(X @ A2 - D2).max() <= 1e-12
+
+
+def test_learn_rejects_non_finite_signals():
+    X = _rand(5, 30, seed=12)
+    X[2, 7] = np.nan
+    for method in ("ksvd", "mod"):
+        with pytest.raises(FloatingPointError):
+            learn(X, 6, 2, 3, method=method, seed=0)
 
 
 def test_learn_rejects_unknown_method():
