@@ -9,8 +9,17 @@ run manifest (config echo, RNG name, library version, timestamp).
 from __future__ import annotations
 
 import argparse
-import os
+import csv
 import sys
+from pathlib import Path
+
+import numpy as np
+import yaml
+
+from . import experiment, lcksvd, nystrom, serialization
+from .classify import class_residuals
+from .kernels import kernel_matrix
+from .sampling import SamplerSpec, select_landmarks
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -18,11 +27,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lkdl",
         description="Kernelized dictionary-learning pipelines via virtual samples",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="limit BLAS thread count")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--config", required=True, help="YAML config file")
         p.add_argument("--seed", type=int, default=None,
                        help="override the master seed")
@@ -32,29 +41,25 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a config field, e.g. sampler.method=kmeans")
         return p
 
-    common(sub.add_parser("preprocess",
-                          help="fit the virtual-sample map and emit features"))
-    common(sub.add_parser("train", help="train a classifier model"))
-    p = common(sub.add_parser("classify", help="classify a test set"))
+    command("preprocess", cmd_preprocess,
+            "fit the virtual-sample map and emit features")
+    command("train", cmd_train, "train a classifier model")
+    p = command("classify", cmd_classify, "classify a test set")
     p.add_argument("--model", required=True, help="trained model container")
     p.add_argument("--map", default=None, help="virtual-sample map container")
-    common(sub.add_parser("experiment", help="run the configured pipeline"))
-    p = common(sub.add_parser("sweep", help="sweep one experiment axis"))
-    p.add_argument("--axis", required=True,
-                   choices=["c_over_N", "noise_sigma", "missing_fraction",
-                            "train_fraction"])
+    command("experiment", cmd_experiment, "run the configured pipeline")
+    p = command("sweep", cmd_sweep, "sweep one experiment axis")
+    p.add_argument("--axis", required=True, choices=experiment.SWEEP_AXES)
     p.add_argument("--values", required=True,
                    help="comma-separated axis values")
-    common(sub.add_parser("approx-error",
-                          help="kernel-matrix approximation error benchmark"))
-    common(sub.add_parser("lcksvd",
-                          help="run the experiment with the label-consistent learner"))
+    command("approx-error", cmd_approx_error,
+            "kernel-matrix approximation error benchmark")
+    command("lcksvd", cmd_lcksvd,
+            "run the experiment with the label-consistent learner")
     return parser
 
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
-    import yaml
-
     for item in overrides:
         if "=" not in item:
             raise SystemExit(f"--set expects KEY=VALUE, got {item!r}")
@@ -67,15 +72,11 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     return raw
 
 
-def load_config(args):
-    import yaml
-
-    from .experiment import ExperimentConfig
-
+def load_config(args) -> experiment.ExperimentConfig:
     with open(args.config) as fh:
         raw = yaml.safe_load(fh) or {}
     raw = apply_overrides(raw, args.overrides)
-    cfg = ExperimentConfig.from_dict(raw)
+    cfg = experiment.ExperimentConfig.from_dict(raw)
     if args.seed is not None:
         cfg.seed = args.seed
     if args.out is not None:
@@ -83,20 +84,25 @@ def load_config(args):
     return cfg
 
 
-def cmd_preprocess(cfg) -> int:
-    from pathlib import Path
-
-    import numpy as np
-
-    from . import experiment, serialization
-
+def _split_and_seed(cfg):
+    """The configured train/test split and the first run seed, as
+    ``experiment`` uses them for repeat 0."""
     train, test = experiment.load_split(cfg)
-    seed = experiment.derive_seeds(cfg.seed, 1)[0]
+    return train, test, experiment.derive_seeds(cfg.seed, 1)[0]
+
+
+def _output_dir(cfg) -> Path:
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def cmd_preprocess(cfg, args) -> int:
+    train, test, seed = _split_and_seed(cfg)
     nmap, F_train, F_test = experiment.preprocess(
         cfg, train.samples, test.samples, seed
     )
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(cfg)
     serialization.save_nystrom_map(nmap, out / "nystrom_map.lkdl")
     np.save(out / "F_train.npy", F_train)
     np.save(out / "F_test.npy", F_test)
@@ -109,18 +115,13 @@ def cmd_preprocess(cfg) -> int:
     return 0
 
 
-def cmd_train(cfg) -> int:
-    from pathlib import Path
-
-    from . import experiment, serialization
-
+def cmd_train(cfg, args) -> int:
     if cfg.pipeline == "kernel_baseline":
         raise SystemExit(
             "lkdl train: pipeline 'kernel_baseline' has no model container; "
             "run it end to end with 'lkdl experiment'"
         )
-    train, test = experiment.load_split(cfg)
-    seed = experiment.derive_seeds(cfg.seed, 1)[0]
+    train, test, seed = _split_and_seed(cfg)
     nmap, F_train = None, train.samples
     if cfg.pipeline == "lkdl":
         nmap, F_train, _ = experiment.preprocess(
@@ -128,8 +129,7 @@ def cmd_train(cfg) -> int:
         )
     # an unknown learner type raises here, before anything is written
     model = experiment.train_learner(cfg, F_train, train.labels, seed)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(cfg)
     if nmap is not None:
         serialization.save_nystrom_map(nmap, out / "nystrom_map.lkdl")
     serialization.save_model(model, out / "model.lkdl")
@@ -138,24 +138,15 @@ def cmd_train(cfg) -> int:
     return 0
 
 
-def cmd_classify(cfg, model_path, map_path) -> int:
-    import csv as _csv
-    from pathlib import Path
-
-    import numpy as np
-
-    from . import experiment, lcksvd, nystrom, serialization
-    from .classify import class_residuals
-
-    _, test = experiment.load_split(cfg)
-    seed = experiment.derive_seeds(cfg.seed, 1)[0]
+def cmd_classify(cfg, args) -> int:
+    _, test, seed = _split_and_seed(cfg)
     X_test = experiment.apply_corruption(test.samples, cfg.corruption, seed)
-    if map_path:
-        nmap = serialization.load_nystrom_map(map_path)
+    if args.map:
+        nmap = serialization.load_nystrom_map(args.map)
         F_test = nystrom.transform(nmap, X_test)
     else:
         F_test = X_test
-    model = serialization.load_model(model_path)
+    model = serialization.load_model(args.model)
     if isinstance(model, lcksvd.LCKSVDModel):
         labels = model.classes
         column = "score"
@@ -166,11 +157,9 @@ def cmd_classify(cfg, model_path, map_path) -> int:
         column = "residual"
         values = class_residuals(model, F_test)
         pred = labels[np.argmin(values, axis=0)]
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "predictions.csv"
+    path = _output_dir(cfg) / "predictions.csv"
     with path.open("w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(
             ["sample_index", "true_label", "predicted_label"]
             + [f"{column}_{int(lab)}" for lab in labels]
@@ -185,11 +174,7 @@ def cmd_classify(cfg, model_path, map_path) -> int:
     return 0
 
 
-def cmd_experiment(cfg) -> int:
-    from pathlib import Path
-
-    from . import experiment
-
+def cmd_experiment(cfg, args) -> int:
     report = experiment.run_experiment(cfg)
     out = Path(cfg.output_dir)
     experiment.write_csv(report.rows, out / "experiment.csv")
@@ -203,32 +188,27 @@ def cmd_experiment(cfg) -> int:
     return 0
 
 
-def cmd_sweep(cfg, axis: str, values_arg: str) -> int:
-    from pathlib import Path
+def cmd_lcksvd(cfg, args) -> int:
+    cfg.learner = {**cfg.learner, "type": "lcksvd"}
+    return cmd_experiment(cfg, args)
 
-    from . import experiment
 
-    values = [float(v) for v in values_arg.split(",") if v.strip()]
-    rows = experiment.run_sweep(cfg, axis, values)
+def cmd_sweep(cfg, args) -> int:
+    values = [float(v) for v in args.values.split(",") if v.strip()]
+    rows = experiment.run_sweep(cfg, args.axis, values)
     out = Path(cfg.output_dir)
     experiment.write_csv(rows, out / "sweep.csv")
     experiment.write_manifest(cfg, out / "manifest.json",
-                              {"stage": "sweep", "axis": axis, "values": values})
+                              {"stage": "sweep", "axis": args.axis,
+                               "values": values})
     print(f"wrote {len(rows)} rows to {out / 'sweep.csv'}")
     return 0
 
 
-def cmd_approx_error(cfg) -> int:
+def cmd_approx_error(cfg, args) -> int:
     """Normalized kernel-approximation error of the configured sampler at
     the configured landmark count (0.1 N if none is set), against the exact
     kernel matrix."""
-    from pathlib import Path
-
-    from . import experiment
-    from .kernels import kernel_matrix
-    from .nystrom import approximation_error, nystrom_kernel_approximation
-    from .sampling import SamplerSpec, select_landmarks
-
     train, _ = experiment.load_split(cfg)
     K = kernel_matrix(cfg.kernel, train.samples, train.samples)
     if cfg.c or cfg.c_fraction:
@@ -239,14 +219,14 @@ def cmd_approx_error(cfg) -> int:
     for r, seed in enumerate(experiment.derive_seeds(cfg.seed, cfg.repeats)):
         spec = SamplerSpec(method=cfg.sampler_method, c=c, seed=seed)
         landmarks = select_landmarks(train.samples, spec, cfg.kernel)
-        K_approx = nystrom_kernel_approximation(
+        K_approx = nystrom.nystrom_kernel_approximation(
             cfg.kernel, train.samples, landmarks
         )
         rows.append({
             "sampler": cfg.sampler_method,
             "c_over_N": round(c / train.n, 6),
             "repeat": r,
-            "approx_error": approximation_error(K, K_approx),
+            "approx_error": nystrom.approximation_error(K, K_approx),
         })
     out = Path(cfg.output_dir)
     experiment.write_csv(rows, out / "approx_error.csv")
@@ -258,27 +238,7 @@ def cmd_approx_error(cfg) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
-    cfg = load_config(args)
-    if args.command == "preprocess":
-        return cmd_preprocess(cfg)
-    if args.command == "train":
-        return cmd_train(cfg)
-    if args.command == "classify":
-        return cmd_classify(cfg, args.model, args.map)
-    if args.command == "experiment":
-        return cmd_experiment(cfg)
-    if args.command == "sweep":
-        return cmd_sweep(cfg, args.axis, args.values)
-    if args.command == "approx-error":
-        return cmd_approx_error(cfg)
-    if args.command == "lcksvd":
-        cfg.learner = {**cfg.learner, "type": "lcksvd"}
-        return cmd_experiment(cfg)
-    raise AssertionError(args.command)
+    return args.run(load_config(args), args)
 
 
 if __name__ == "__main__":

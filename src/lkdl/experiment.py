@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -351,7 +351,7 @@ def run_sweep(config: ExperimentConfig, axis: str, values: list[float]) -> list[
         raise ValueError("sweep values list is empty")
     rows = []
     for value in values:
-        cfg = ExperimentConfig(**{**asdict_shallow(config)})
+        cfg = replace(config)
         if axis == "c_over_N":
             cfg.c, cfg.c_fraction = None, float(value)
         elif axis == "noise_sigma":
@@ -364,11 +364,6 @@ def run_sweep(config: ExperimentConfig, axis: str, values: list[float]) -> list[
         for row in report.rows:
             rows.append({axis: value, **row})
     return rows
-
-
-def asdict_shallow(config: ExperimentConfig) -> dict:
-    out = dict(config.__dict__)
-    return out
 
 
 def write_csv(rows: list[dict], path) -> None:
@@ -389,7 +384,7 @@ def write_manifest(config: ExperimentConfig, path, extra: dict | None = None) ->
     from . import __version__
 
     payload = {
-        "config": _jsonable(asdict_shallow(config)),
+        "config": _jsonable(vars(config)),
         "rng": RNG_NAME,
         "library_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),

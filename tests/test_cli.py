@@ -200,6 +200,39 @@ def test_sweep_command(mixture_config, tmp_path):
     assert payload["values"] == [0.2, 0.5]
 
 
+@pytest.mark.parametrize("axis, key, values", [
+    ("noise_sigma", "corruption.gaussian_sigma", [0.05, 4.0]),
+    ("missing_fraction", "corruption.missing_fraction", [0.1, 0.5]),
+    ("train_fraction", "dataset.train_fraction", [0.5, 0.8]),
+])
+def test_sweep_command_axes(mixture_config, tmp_path, axis, key, values):
+    # each axis reaches the run: a row is that of the experiment with the
+    # axis value set in the config, and the two values give different rows
+    out = tmp_path / "sweep_dir"
+    assert main(["sweep", "--config", str(mixture_config), "--out", str(out),
+                 "--axis", axis,
+                 "--values", ",".join(str(v) for v in values)]) == 0
+    with (out / "sweep.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0])[0] == axis
+    assert [float(r[axis]) for r in rows] == values
+    payload = json.loads((out / "manifest.json").read_text())
+    assert payload["axis"] == axis
+    assert payload["values"] == values
+
+    def outcome(row):
+        return float(row["accuracy"]), float(row["c_over_N"])
+
+    for row, value in zip(rows, values):
+        raw = apply_overrides(yaml.safe_load(mixture_config.read_text()),
+                              [f"{key}={value}"])
+        report = experiment.run_experiment(
+            experiment.ExperimentConfig.from_dict(raw)
+        )
+        assert outcome(row) == outcome(report.rows[0])
+    assert outcome(rows[0]) != outcome(rows[1])
+
+
 def test_approx_error_command(mixture_config, tmp_path):
     out = tmp_path / "approx_dir"
     rc = main(["approx-error", "--config", str(mixture_config),

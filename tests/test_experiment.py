@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,20 @@ def test_config_validation():
         _mixture_config(repeats=0)
     with pytest.raises(ValueError, match="c_fraction"):
         _mixture_config(sampler={"method": "uniform", "c_fraction": 1.5})
+
+
+def test_load_split_normalize_gives_unit_columns():
+    plain = _mixture_config()
+    plain_train, plain_test = load_split(plain)
+    cfg = _mixture_config(dataset={**plain.dataset, "normalize": True})
+    train, test = load_split(cfg)
+    for part, ref in ((train, plain_train), (test, plain_test)):
+        assert np.allclose(np.linalg.norm(part.samples, axis=0), 1.0)
+        assert np.allclose(
+            part.samples * np.linalg.norm(ref.samples, axis=0), ref.samples
+        )
+        assert np.array_equal(part.labels, ref.labels)
+    assert run_experiment(cfg).accuracy_mean >= 0.95
 
 
 def test_derive_seeds_deterministic_and_distinct():
@@ -123,6 +138,21 @@ def test_kernel_baseline_train_checks_label_count():
         kernel_baseline_train(
             train.samples, train.labels[:-1], cfg.kernel, 8, 1, 2, seed=0
         )
+
+
+def test_kernel_baseline_learns_at_most_one_atom_per_sample():
+    # unlike train_per_class, which warns and pads, the exact-kernel
+    # baseline silently learns min(m_per_class, n_i) atoms per class
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((3, 12))
+    labels = np.array([1] * 5 + [2] * 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = kernel_baseline_train(
+            X, labels, KernelSpec(kind="gaussian", sigma=1.0), 50, 1, 2, seed=0
+        )
+    assert [A.shape for A in model.coefficient_dicts] == [(5, 5), (7, 7)]
+    assert [K.shape for K in model.class_kernels] == [(5, 5), (7, 7)]
 
 
 @pytest.mark.parametrize("learner_type", ["lcksvd", "foo"])
