@@ -114,9 +114,15 @@ def corrupt_gaussian(
     return Y
 
 
-def corrupt_missing(X: np.ndarray, fraction: float, seed: int = 0) -> np.ndarray:
+def corrupt_missing(
+    X: np.ndarray,
+    fraction: float,
+    seed: int = 0,
+    renormalize: bool = True,
+) -> np.ndarray:
     """Zero a uniformly chosen fraction of entries per column
-    (floor(fraction * p) entries), re-normalizing surviving columns."""
+    (floor(fraction * p) entries); by default surviving columns are then
+    re-normalized to unit l2 norm, matching the dataset pipeline."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("missing fraction must lie in [0, 1]")
@@ -129,8 +135,9 @@ def corrupt_missing(X: np.ndarray, fraction: float, seed: int = 0) -> np.ndarray
     for i in range(n):
         idx = rng.choice(p, size=n_zero, replace=False)
         Y[idx, i] = 0.0
+    if not renormalize:
+        return Y
     norms = np.linalg.norm(Y, axis=0)
     if np.any(norms == 0):
         warnings.warn("corruption produced all-zero columns; left unnormalized")
-    Y = Y / np.where(norms > 0, norms, 1.0)
-    return Y
+    return Y / np.where(norms > 0, norms, 1.0)

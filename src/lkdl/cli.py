@@ -140,7 +140,7 @@ def cmd_train(cfg, args) -> int:
 
 def cmd_classify(cfg, args) -> int:
     _, test, seed = _split_and_seed(cfg)
-    X_test = experiment.apply_corruption(test.samples, cfg.corruption, seed)
+    X_test = experiment.apply_corruption(cfg, test.samples, seed)
     if args.map:
         nmap = serialization.load_nystrom_map(args.map)
         F_test = nystrom.transform(nmap, X_test)

@@ -41,7 +41,7 @@ from .sampling import SamplerSpec
 # ``komp`` is re-exported: code that looks up ``experiment.komp``, such as
 # the benchmark's tracer, keeps working
 from .sparse_coding import komp  # noqa: F401
-from .sparse_coding import komp_batch, residual_energies
+from .sparse_coding import _komp_codes, residual_energies
 
 RNG_NAME = "numpy-PCG64"
 
@@ -154,17 +154,26 @@ def _load_part(part: dict) -> _datasets.LabeledDataset:
     return _datasets.load_idx(part["images"], part["labels"])
 
 
-def apply_corruption(X_test: np.ndarray, corruption: dict, seed: int) -> np.ndarray:
+def apply_corruption(
+    config: ExperimentConfig, X_test: np.ndarray, seed: int
+) -> np.ndarray:
+    """The test samples corrupted as ``config.corruption`` says. Corrupted
+    columns are scaled back to unit norm only if the dataset's are
+    (``dataset.normalize``), so test and training samples keep one scale;
+    a ``renormalize`` key in the corruption section overrides that."""
+    corruption = config.corruption
     if not corruption:
         return X_test
+    renormalize = corruption.get(
+        "renormalize", config.dataset.get("normalize", False)
+    )
     if "gaussian_sigma" in corruption:
         return corrupt_gaussian(
-            X_test, corruption["gaussian_sigma"], seed,
-            renormalize=corruption.get("renormalize", True),
+            X_test, corruption["gaussian_sigma"], seed, renormalize=renormalize
         )
     if "missing_fraction" in corruption:
         return corrupt_missing(
-            X_test, corruption["missing_fraction"], seed
+            X_test, corruption["missing_fraction"], seed, renormalize=renormalize
         )
     raise ValueError(f"unknown corruption: {corruption!r}")
 
@@ -233,9 +242,11 @@ def kernel_baseline_classify(
     for i, (X_i, K_i, A_i) in enumerate(
         zip(model.class_samples, model.class_kernels, model.coefficient_dicts)
     ):
+        # the atom Gram, formed once for the pursuit and the residuals
+        M = A_i.T @ (K_i @ A_i)
         K_ZX = kernel_matrix(model.kernel, X_test, X_i)
-        Gamma = komp_batch(K_i, K_ZX, kzz, A_i, model.q)
-        res[i] = residual_energies(Gamma, A_i.T @ (K_i @ A_i), kzz)
+        Gamma = _komp_codes(K_ZX @ A_i, M, kzz, model.q)
+        res[i] = residual_energies(Gamma, M, kzz)
     return model.labels[np.argmin(res, axis=0)]
 
 
@@ -281,7 +292,7 @@ def predict(model, F) -> np.ndarray:
 
 def run_single(config: ExperimentConfig, train, test, seed: int) -> dict:
     """One pipeline run; returns a CSV-row dict."""
-    X_test = apply_corruption(test.samples, config.corruption, seed)
+    X_test = apply_corruption(config, test.samples, seed)
     n_train = train.n
 
     # features: the raw samples, or for lkdl the virtual samples

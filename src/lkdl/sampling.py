@@ -142,6 +142,15 @@ def kmeans(X: np.ndarray, c: int, seed: int, max_iters: int = 100) -> np.ndarray
     center, and empty clusters are re-seeded from the point farthest from
     its assigned center. Returns a p x c matrix of centers.
 
+    Seeding makes one BLAS pass over X per center: the new center's squared
+    distances are ||x||^2 - 2 c.x + ||c||^2, with the exact sum of squares
+    only where that is at rounding level. It draws the centers the three-
+    pass sum((x - c)^2) update drew: duplicates of a center still get
+    exactly 0, and elsewhere d2 moves by at most about
+    3p eps (||x||^2 + ||c||^2), a few ulps of d2 unless the points sit far
+    from the origin for their spread. A draw changes only if its uniform
+    lands that close to a boundary of the cumulative weights.
+
     An iteration costs O(pNc) BLAS work and O(_BLOCK * c) scratch: point-to-
     center distances are formed _BLOCK points at a time, never as N x c.
     """
@@ -151,24 +160,35 @@ def kmeans(X: np.ndarray, c: int, seed: int, max_iters: int = 100) -> np.ndarray
     if c == n:
         return X.copy()
     rng = _rng(seed)
+    sq_x = np.sum(X * X, axis=0)
 
     # k-means++ initialization
     centers = np.empty((p, c))
     centers[:, 0] = X[:, rng.integers(n)]
     d2 = np.sum((X - centers[:, [0]]) ** 2, axis=0)
-    diff, d2_j = np.empty_like(X), np.empty(n)
+    d2_j = np.empty(n)
+    # the rounding error of ||x||^2 - 2 c.x + ||c||^2 stays below about
+    # 3p eps (||x||^2 + ||c||^2), so every point at distance 0 from the new
+    # center (the center itself, its duplicates) falls under this bound and
+    # gets the exact sum of squares: total <= 0 exactly when it did before
+    tol = 64 * p * np.finfo(np.float64).eps
+    tol_x = tol * sq_x
     for j in range(1, c):
         total = d2.sum()
         if total <= 0:
             centers[:, j] = X[:, rng.integers(n)]
             continue
-        centers[:, j] = X[:, _draw(d2 / total, rng)]
-        np.subtract(X, centers[:, [j]], out=diff)
-        np.square(diff, out=diff)
-        np.minimum(d2, np.sum(diff, axis=0, out=d2_j), out=d2)
+        i = _draw(d2 / total, rng)
+        centers[:, j] = X[:, i]
+        np.matmul(-2.0 * X[:, i], X, out=d2_j)
+        d2_j += sq_x
+        d2_j += sq_x[i]
+        near = np.flatnonzero(d2_j - tol * sq_x[i] <= tol_x)
+        diff = X[:, near] - X[:, [i]]
+        d2_j[near] = np.sum(diff * diff, axis=0)
+        np.minimum(d2, d2_j, out=d2)
 
     Xt = np.ascontiguousarray(X.T)
-    sq_x = np.sum(X * X, axis=0)
     block = np.empty((min(_BLOCK, n), c))
     assign = np.empty(n, dtype=np.intp)
     own = np.empty(n)  # squared distance to the assigned center, less sq_x
@@ -177,8 +197,10 @@ def kmeans(X: np.ndarray, c: int, seed: int, max_iters: int = 100) -> np.ndarray
         minus_2c = -2.0 * centers
         for start in range(0, n, _BLOCK):
             stop = min(start + _BLOCK, n)
-            # ||c_j||^2 - 2 x_i.c_j; scaling by -2 is exact, so these rows
-            # equal those of sq_c - 2 (X.T @ centers) bit for bit
+            # ||c_j||^2 - 2 x_i.c_j. BLAS may round a block of rows unlike
+            # the same rows of the whole product (OpenBLAS 0.3.31 does at
+            # p = 20 with c = 60 or 500), so the centers equal those of the
+            # one-shot N x c form unless an argmin meets a rounding-level tie
             rows = block[: stop - start]
             np.matmul(Xt[start:stop], minus_2c, out=rows)
             rows += sq_c

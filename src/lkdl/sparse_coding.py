@@ -225,8 +225,14 @@ def komp_batch(
     K_ZX = np.atleast_2d(np.asarray(K_ZX, dtype=np.float64))
     kzz = np.ravel(np.asarray(kzz, dtype=np.float64))
     M = A.T @ (np.asarray(K_XX, dtype=np.float64) @ A)
-    codes = _batch_pursuit((K_ZX @ A).T, M, kzz, q)
-    return _dense_codes(*codes[:3], A.shape[1])
+    return _komp_codes(K_ZX @ A, M, kzz, q)
+
+
+def _komp_codes(KA: np.ndarray, M: np.ndarray, kzz: np.ndarray, q: int):
+    """``komp_batch`` from its products: the n_z x m correlations
+    KA = K(Z, X) A and the atom Gram M = A^T K(X, X) A."""
+    codes = _batch_pursuit(KA.T, M, kzz, q)
+    return _dense_codes(*codes[:3], M.shape[0])
 
 
 def residual_energies(

@@ -253,6 +253,30 @@ def test_corruption_config_dispatch():
         run_experiment(_mixture_config(corruption={"bogus": 1}))
 
 
+def test_corruption_keeps_the_dataset_scale():
+    # unnormalized samples (column norms 5.7-10 here): noisy columns are the
+    # samples plus noise and surviving entries keep their values; with
+    # dataset.normalize, or an explicit renormalize key, they are unit norm
+    for corruption in ({"gaussian_sigma": 0.3}, {"missing_fraction": 0.4}):
+        cfg = _mixture_config(corruption=corruption)
+        _, test = load_split(cfg)
+        X = experiment.apply_corruption(cfg, test.samples, seed=3)
+        if "gaussian_sigma" in corruption:
+            noise = np.random.Generator(np.random.PCG64(3)).standard_normal(X.shape)
+            assert np.array_equal(X, test.samples + 0.3 * noise)
+        else:
+            kept = X != 0
+            assert np.array_equal(X[kept], test.samples[kept])
+        for dataset, extra in (
+            ({**cfg.dataset, "normalize": True}, {}),
+            (cfg.dataset, {"renormalize": True}),
+        ):
+            unit = _mixture_config(dataset=dataset, corruption={**corruption, **extra})
+            _, test = load_split(unit)
+            X = experiment.apply_corruption(unit, test.samples, seed=3)
+            assert np.allclose(np.linalg.norm(X, axis=0), 1.0, atol=1e-12)
+
+
 def test_unknown_synthetic_dataset_rejected():
     cfg = _mixture_config()
     cfg.dataset = {"synthetic": "bogus"}

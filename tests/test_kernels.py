@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from lkdl.kernels import (
     _BLOCK,
+    _TILE,
     KernelSpec,
     kernel_diagonal,
     kernel_eval,
@@ -75,14 +76,19 @@ def _one_shot(spec, X, Y):
 
 
 def test_blockwise_evaluation_matches_direct():
-    # two block boundaries and a ragged tail
-    X = np.random.default_rng(3).standard_normal((6, 64))
+    # two block boundaries and a ragged tail; the rows of a full block span
+    # two row tiles and a ragged one
+    X = np.random.default_rng(3).standard_normal((6, 2 * (_TILE // _BLOCK) + 22))
     Y = np.random.default_rng(4).standard_normal((6, 2 * _BLOCK + 37))
     poly = KernelSpec(kind="polynomial", degree=3, coef0=1.0)
     for spec in (LINEAR, GAUSS, poly):
-        assert np.allclose(
-            kernel_matrix(spec, X, Y), _one_shot(spec, X, Y), rtol=1e-12, atol=1e-12
-        )
+        K = kernel_matrix(spec, X, Y)
+        assert np.allclose(K, _one_shot(spec, X, Y), rtol=1e-12, atol=1e-12)
+        # each block's product is left whole and every entry takes the
+        # closed form's steps, so the tiles reproduce it bit for bit
+        for start in range(0, Y.shape[1], _BLOCK):
+            Yb = Y[:, start : start + _BLOCK]
+            assert np.array_equal(K[:, start : start + _BLOCK], _one_shot(spec, X, Yb))
 
 
 def test_cross_matrix_shape_and_symmetry():

@@ -202,6 +202,38 @@ def test_kmeans_matches_reference_on_gaussian_mixtures(c, seed):
     assert np.array_equal(kmeans(X, c, seed), _reference_kmeans(X, c, seed))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_kmeans_matches_reference_where_blocks_round_differently(seed):
+    # at p = 20, c = 60 the 512-row blocks of the distance product round
+    # unlike the whole product; the centers still agree
+    X = synth_gaussian_mixture(300, 4, 20, spread=2.0, seed=seed).samples
+    assert np.array_equal(kmeans(X, 60, seed), _reference_kmeans(X, 60, seed))
+
+
+@pytest.mark.parametrize("c_fraction", [0.1, 0.2])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kmeans_seeding_matches_reference(c_fraction, seed):
+    # the one-pass distance update draws the centers the three-pass one drew
+    X = synth_gaussian_mixture(300, 4, 20, spread=4.0, seed=seed).samples
+    c = int(c_fraction * X.shape[1])
+    assert np.array_equal(
+        kmeans(X, c, seed, max_iters=0),
+        _reference_kmeans(X, c, seed, max_iters=0),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kmeans_seeding_matches_reference_on_repeated_columns(seed):
+    # seven distinct real points, each repeated: once all seven are centers
+    # every distance must be exactly 0, so the remaining centers come from
+    # the uniform fallback, as in the reference
+    X = np.repeat(_rand(20, 7, seed=seed) * 3.0 + 5.0, 40, axis=1)
+    X = X[:, np.random.default_rng(seed).permutation(X.shape[1])]
+    centers = kmeans(X, 12, seed, max_iters=0)
+    assert np.unique(centers, axis=1).shape[1] == 7
+    assert np.array_equal(centers, _reference_kmeans(X, 12, seed, max_iters=0))
+
+
 def test_kmeans_matches_reference_when_reseeding():
     # six distinct points, each repeated 200 times: with c = 10 the surplus
     # centers coincide, lose every tie and are re-seeded; the distances of
