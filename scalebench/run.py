@@ -13,21 +13,20 @@ eigendecomposition (``fit_from_landmarks``), ``transform`` of the train and
 test sets, per-class learning and classification. The trees alternate in
 order from one repeat to the next, so a drift in the machine's speed falls
 on both. Each row holds the median over the repeats, every sample, the
-accuracy and the cell's peak RSS; the file also records the machine, the
-library versions, the thread count and each tree's git SHA.
+accuracy and the cell's peak RSS; the file also records each tree's
+environment as perfbench records it (threads, BLAS, versions, git SHA).
 
-The inputs are the perfbench mixture (4 classes, p = 20, spread 4, test set
-as large as the training set, Gaussian kernel with sigma 16) at c/N = 0.2,
-k = 24, q = 3, 50 atoms per class and 5 iterations, data seed 1 and run
-seed 7. This script is not the gated benchmark; ``perfbench/`` is.
+The inputs, the kernel and the learner settings are perfbench's ``lkdl_q3``
+workload (c/N = 0.2, k = 24, q = 3) with N set per row, data seed 1 and run
+seed 7; this script imports them from ``perfbench/``. It is not the gated
+benchmark; ``perfbench/`` is.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
-import platform
 import resource
 import statistics
 import subprocess
@@ -35,56 +34,65 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-BLAS_THREADS = 1
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 SIZES = (2000, 4000, 8000, 16000)
-N_CLASSES, P, SPREAD, SIGMA = 4, 20, 4.0, 16.0
-C_FRACTION, K, Q, M_PER_CLASS, ITERATIONS = 0.2, 24, 3, 50, 5
+REPEATS = 3
+WORKLOAD = "lkdl_q3"
 DATA_SEED, RUN_SEED = 1, 7
 STAGES = ("seeding_s", "select_s", "lloyd_s", "eigh_s", "transform_s",
           "learn_s", "classify_s", "total_s")
+
+sys.path.insert(0, str(PERFBENCH))
+import run as perfbench_run  # noqa: E402  perfbench/run.py, not this file
+
+
+def workload(bench, n_train: int):
+    """perfbench's workload with N = n_train training samples."""
+    return dataclasses.replace(
+        bench.WORKLOADS[WORKLOAD], n_per_class=n_train // bench.N_CLASSES
+    )
 
 
 def run_cell(n: int) -> dict:
     """Stage times, accuracy and peak RSS of one pipeline run on N = n
     training samples (lkdl is imported from the path set up by main)."""
+    import bench
     import numpy as np
 
-    from lkdl import datasets, nystrom
+    from lkdl import nystrom
     from lkdl.classify import classify_batch, train_per_class
-    from lkdl.kernels import KernelSpec
     from lkdl.sampling import SamplerSpec, kmeans, select_landmarks
 
-    kernel = KernelSpec(kind="gaussian", sigma=SIGMA)
-
     def once(n_train):
-        full = datasets.synth_gaussian_mixture(
-            2 * n_train // N_CLASSES, N_CLASSES, P, spread=SPREAD, seed=DATA_SEED
-        )
-        train, test = datasets.split_per_class(full, n_train // N_CLASSES)
-        c = int(round(C_FRACTION * n_train))
-        t = {}
+        w = workload(bench, n_train)
+        train, test = bench.make_inputs(w, DATA_SEED)
+        c = w.config().landmark_count(n_train)
+        learner = w.learner
         t0 = perf_counter()
         kmeans(train.samples, c, RUN_SEED, max_iters=0)
         t1 = perf_counter()
         landmarks = select_landmarks(
-            train.samples, SamplerSpec("kmeans", c, RUN_SEED), kernel
+            train.samples, SamplerSpec("kmeans", c, RUN_SEED), bench.KERNEL
         )
         t2 = perf_counter()
-        nmap = nystrom.fit_from_landmarks(landmarks, kernel, min(K, c))
+        nmap = nystrom.fit_from_landmarks(landmarks, bench.KERNEL, min(w.k, c))
         t3 = perf_counter()
         F_train = nystrom.transform(nmap, train.samples)
         F_test = nystrom.transform(nmap, test.samples)
         t4 = perf_counter()
         model = train_per_class(
-            F_train, train.labels, M_PER_CLASS, Q, ITERATIONS, seed=RUN_SEED
+            F_train, train.labels, learner["m_per_class"], learner["q"],
+            learner["iterations"], seed=RUN_SEED,
         )
         t5 = perf_counter()
         pred = classify_batch(model, F_test)
         t6 = perf_counter()
-        t.update(seeding_s=t1 - t0, select_s=t2 - t1, lloyd_s=(t2 - t1) - (t1 - t0),
-                 eigh_s=t3 - t2, transform_s=t4 - t3, learn_s=t5 - t4,
-                 classify_s=t6 - t5, total_s=t6 - t1)
-        return t, float(np.mean(pred == test.labels))
+        times = dict(seeding_s=t1 - t0, select_s=t2 - t1,
+                     lloyd_s=(t2 - t1) - (t1 - t0), eigh_s=t3 - t2,
+                     transform_s=t4 - t3, learn_s=t5 - t4,
+                     classify_s=t6 - t5, total_s=t6 - t1)
+        return times, float(np.mean(pred == test.labels))
 
     once(400)  # warm-up: first-call costs land outside the timed cell
     times, accuracy = once(n)
@@ -92,44 +100,16 @@ def run_cell(n: int) -> dict:
     return {"times": times, "accuracy": accuracy, "peak_rss_mb": peak_kb / 1024}
 
 
-def git_state(root: Path) -> dict:
-    def git(*args):
-        return subprocess.run(["git", *args], cwd=root, capture_output=True,
-                              text=True, timeout=30, check=True).stdout.strip()
-
-    try:
-        return {"git_sha": git("rev-parse", "HEAD"),
-                "dirty": bool(git("status", "--porcelain", "--", "src"))}
-    except (OSError, subprocess.SubprocessError):
-        return {"git_sha": None, "dirty": None}
-
-
-def environment() -> dict:
-    import numpy as np
-    import scipy
-
-    blas = None
-    try:
-        info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        blas = f"{info['name']}-{info['version']}"
-    except (TypeError, KeyError):
-        pass
-    return {"nproc": os.cpu_count(), "machine": platform.machine(),
-            "blas": blas, "blas_threads": BLAS_THREADS, "numpy": np.__version__,
-            "scipy": scipy.__version__, "python": platform.python_version()}
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--tree", action="append", default=[],
                     metavar="LABEL=PATH", help="a checkout to time, under a label")
     ap.add_argument("--out", type=Path, help="JSON file to write")
-    ap.add_argument("--sizes", default=",".join(map(str, SIZES)))
-    ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--cell", type=int, help=argparse.SUPPRESS)
     ap.add_argument("--src", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
+    perfbench_run.pin_blas_threads()  # before numpy; cells inherit it
     if args.cell is not None:
         sys.path.insert(0, args.src)
         print(json.dumps(run_cell(args.cell)))
@@ -137,42 +117,45 @@ def main(argv=None) -> int:
     if not args.tree or args.out is None:
         ap.error("give at least one --tree and --out")
 
-    trees = dict(t.split("=", 1) for t in args.tree)
-    env = {**os.environ, **{v: str(BLAS_THREADS) for v in (
-        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+    trees = {label: Path(path).resolve()
+             for label, path in (t.split("=", 1) for t in args.tree)}
     samples = {}
-    for n in map(int, args.sizes.split(",")):
-        for r in range(args.repeats):
+    for n in SIZES:
+        for r in range(REPEATS):
             order = list(trees) if r % 2 == 0 else list(trees)[::-1]
             for label in order:
-                src = str(Path(trees[label]).resolve() / "src")
                 out = subprocess.run(
-                    [sys.executable, __file__, "--cell", str(n), "--src", src],
-                    env=env, capture_output=True, text=True, check=True,
+                    [sys.executable, __file__, "--cell", str(n),
+                     "--src", str(trees[label] / "src")],
+                    capture_output=True, text=True, check=True,
                 ).stdout.splitlines()[-1]
                 samples.setdefault((label, n), []).append(json.loads(out))
                 print(label, n, r, out, flush=True)
 
+    sys.path.insert(0, str(ROOT / "src"))
+    import bench
+
     rows = []
     for (label, n), cells in samples.items():
+        w = workload(bench, n)
         rows.append({
-            "tree": label, "N": n, "c": int(round(C_FRACTION * n)), "k": K, "q": Q,
-            "repeats": len(cells),
+            "tree": label, "N": n, "c": w.config().landmark_count(n),
+            "k": w.k, "q": w.learner["q"], "repeats": len(cells),
             "median_s": {s: statistics.median(c["times"][s] for c in cells)
                          for s in STAGES},
             "samples_s": {s: [c["times"][s] for c in cells] for s in STAGES},
             "accuracy": [c["accuracy"] for c in cells],
             "peak_rss_mb": max(c["peak_rss_mb"] for c in cells),
         })
+    w = bench.WORKLOADS[WORKLOAD]
     result = {
         "what": "lkdl stage times across N: median over repeats, one BLAS thread",
-        "config": {"classes": N_CLASSES, "p": P, "spread": SPREAD,
-                   "kernel": {"kind": "gaussian", "sigma": SIGMA},
-                   "c_over_N": C_FRACTION, "k": K, "q": Q,
-                   "m_per_class": M_PER_CLASS, "iterations": ITERATIONS,
+        "config": {"workload": WORKLOAD, "classes": bench.N_CLASSES,
+                   "p": bench.P, "spread": bench.SPREAD,
+                   "kernel": dataclasses.asdict(bench.KERNEL),
+                   "c_over_N": w.c_fraction, "k": w.k, **w.learner,
                    "data_seed": DATA_SEED, "run_seed": RUN_SEED},
-        "environment": environment(),
-        "trees": {label: git_state(Path(path)) for label, path in trees.items()},
+        "trees": {label: bench.environment(path) for label, path in trees.items()},
         "rows": rows,
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")

@@ -144,12 +144,12 @@ def kmeans(X: np.ndarray, c: int, seed: int, max_iters: int = 100) -> np.ndarray
 
     Seeding makes one BLAS pass over X per center: the new center's squared
     distances are ||x||^2 - 2 c.x + ||c||^2, with the exact sum of squares
-    only where that is at rounding level. It draws the centers the three-
-    pass sum((x - c)^2) update drew: duplicates of a center still get
+    only where that is at rounding level. Duplicates of a center still get
     exactly 0, and elsewhere d2 moves by at most about
-    3p eps (||x||^2 + ||c||^2), a few ulps of d2 unless the points sit far
-    from the origin for their spread. A draw changes only if its uniform
-    lands that close to a boundary of the cumulative weights.
+    3p eps (||x||^2 + ||c||^2) from the three-pass sum((x - c)^2) update's,
+    a few ulps of d2 unless the points sit far from the origin for their
+    spread. So the centers are that update's unless a draw's uniform lands
+    within that bound of a boundary of the cumulative weights.
 
     An iteration costs O(pNc) BLAS work and O(_BLOCK * c) scratch: point-to-
     center distances are formed _BLOCK points at a time, never as N x c.

@@ -222,6 +222,20 @@ def test_kmeans_seeding_matches_reference(c_fraction, seed):
     )
 
 
+@pytest.mark.parametrize("offset", [1e3, 1e4])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_kmeans_seeding_matches_reference_far_from_origin(offset, seed):
+    # shifted away from the origin, ||x||^2 dwarfs the spread and the
+    # rounding of ||x||^2 - 2 c.x + ||c||^2 grows with it; the draws must
+    # still land on the centers the three-pass update drew
+    X = synth_gaussian_mixture(300, 4, 20, spread=4.0, seed=seed).samples + offset
+    c = int(0.2 * X.shape[1])
+    assert np.array_equal(
+        kmeans(X, c, seed, max_iters=0),
+        _reference_kmeans(X, c, seed, max_iters=0),
+    )
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_kmeans_seeding_matches_reference_on_repeated_columns(seed):
     # seven distinct real points, each repeated: once all seven are centers
