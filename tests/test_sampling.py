@@ -210,26 +210,15 @@ def test_kmeans_matches_reference_where_blocks_round_differently(seed):
     assert np.array_equal(kmeans(X, 60, seed), _reference_kmeans(X, 60, seed))
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e4])
 @pytest.mark.parametrize("c_fraction", [0.1, 0.2])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_kmeans_seeding_matches_reference(c_fraction, seed):
-    # the one-pass distance update draws the centers the three-pass one drew
-    X = synth_gaussian_mixture(300, 4, 20, spread=4.0, seed=seed).samples
-    c = int(c_fraction * X.shape[1])
-    assert np.array_equal(
-        kmeans(X, c, seed, max_iters=0),
-        _reference_kmeans(X, c, seed, max_iters=0),
-    )
-
-
-@pytest.mark.parametrize("offset", [1e3, 1e4])
-@pytest.mark.parametrize("seed", [0, 1])
-def test_kmeans_seeding_matches_reference_far_from_origin(offset, seed):
-    # shifted away from the origin, ||x||^2 dwarfs the spread and the
-    # rounding of ||x||^2 - 2 c.x + ||c||^2 grows with it; the draws must
-    # still land on the centers the three-pass update drew
+def test_kmeans_seeding_matches_reference(c_fraction, seed, offset):
+    # the one-pass distance update draws the centers the three-pass one
+    # drew, also when a shift away from the origin makes ||x||^2 dwarf the
+    # spread and the rounding of ||x||^2 - 2 c.x + ||c||^2 grows with it
     X = synth_gaussian_mixture(300, 4, 20, spread=4.0, seed=seed).samples + offset
-    c = int(0.2 * X.shape[1])
+    c = int(c_fraction * X.shape[1])
     assert np.array_equal(
         kmeans(X, c, seed, max_iters=0),
         _reference_kmeans(X, c, seed, max_iters=0),
