@@ -351,7 +351,7 @@ def run_experiment(config: ExperimentConfig, train=None, test=None) -> RunReport
     )
 
 
-SWEEP_AXES = ("c_over_N", "noise_sigma", "missing_fraction", "train_fraction")
+SWEEP_AXES = ("c_over_N", "k", "noise_sigma", "missing_fraction", "train_fraction")
 
 
 def run_sweep(config: ExperimentConfig, axis: str, values: list[float]) -> list[dict]:
@@ -360,11 +360,15 @@ def run_sweep(config: ExperimentConfig, axis: str, values: list[float]) -> list[
         raise ValueError(f"unknown sweep axis: {axis!r}")
     if not values:
         raise ValueError("sweep values list is empty")
+    if axis == "k" and not all(float(v).is_integer() and v >= 1 for v in values):
+        raise ValueError(f"sweep axis k takes integers >= 1, got {values}")
     rows = []
     for value in values:
         cfg = replace(config)
         if axis == "c_over_N":
             cfg.c, cfg.c_fraction = None, float(value)
+        elif axis == "k":
+            cfg.k = int(value)
         elif axis == "noise_sigma":
             cfg.corruption = {**config.corruption, "gaussian_sigma": float(value)}
         elif axis == "missing_fraction":

@@ -37,6 +37,8 @@ class KernelSpec:
             raise ValueError(f"unknown kernel kind: {self.kind!r}")
         if self.kind == "polynomial" and self.degree < 1:
             raise ValueError("polynomial degree must be >= 1")
+        if not (np.isfinite(self.sigma) and np.isfinite(self.coef0)):
+            raise ValueError("kernel sigma and coef0 must be finite")
         if self.kind == "gaussian" and self.sigma <= 0:
             raise ValueError("gaussian sigma must be positive")
 

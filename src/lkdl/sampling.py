@@ -134,6 +134,27 @@ def _draw(p: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
+def _chunks(idx: np.ndarray):
+    """``idx`` in consecutive pieces of at most _BLOCK entries."""
+    for start in range(0, idx.size, _BLOCK):
+        yield idx[start : start + _BLOCK]
+
+
+def _nearest(
+    Xt_rows: np.ndarray, minus_2c: np.ndarray, sq_c: np.ndarray, scratch: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's nearest center (lowest index on ties) and its ||c||^2 -
+    2 x.c, formed in ``scratch`` (at least rows x centers entries).
+
+    BLAS may round a block of rows unlike the same rows of a larger product
+    (OpenBLAS 0.3.31 does at p = 20 with c = 60 or 500)."""
+    rows = scratch[: Xt_rows.shape[0] * sq_c.size].reshape(Xt_rows.shape[0], -1)
+    np.matmul(Xt_rows, minus_2c, out=rows)
+    rows += sq_c
+    a = np.argmin(rows, axis=1)  # ties go to the lowest index
+    return a, rows[np.arange(rows.shape[0]), a]
+
+
 def kmeans(X: np.ndarray, c: int, seed: int, max_iters: int = 100) -> np.ndarray:
     """Lloyd's algorithm with k-means++ seeding on the columns of X, until
     no center moves by more than 1e-6 or for ``max_iters`` iterations.
@@ -151,8 +172,16 @@ def kmeans(X: np.ndarray, c: int, seed: int, max_iters: int = 100) -> np.ndarray
     spread. So the centers are that update's unless a draw's uniform lands
     within that bound of a boundary of the cumulative weights.
 
-    An iteration costs O(pNc) BLAS work and O(_BLOCK * c) scratch: point-to-
-    center distances are formed _BLOCK points at a time, never as N x c.
+    Point-to-center distances are formed _BLOCK points at a time, never as
+    N x c, in O(_BLOCK * c) scratch. The first pass costs O(pNc) BLAS work;
+    a later one costs O(p (N_lost c + N c_moved)), with c_moved the centers
+    the last update moved (compared exactly) and N_lost the points whose
+    center moved. Only those points get their whole row again; every other
+    point compares its kept distance with the moved centers alone. An
+    unmoved center's column and ||c||^2 are bitwise unchanged, so this is
+    the full pass's result, except that products over subsets of points or
+    centers may round unlike the whole product: the centers equal those of
+    the one-shot N x c form unless an argmin meets a rounding-level tie.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     p, n = X.shape
@@ -189,24 +218,35 @@ def kmeans(X: np.ndarray, c: int, seed: int, max_iters: int = 100) -> np.ndarray
         np.minimum(d2, d2_j, out=d2)
 
     Xt = np.ascontiguousarray(X.T)
-    block = np.empty((min(_BLOCK, n), c))
+    scratch = np.empty(min(_BLOCK, n) * c)
     assign = np.empty(n, dtype=np.intp)
     own = np.empty(n)  # squared distance to the assigned center, less sq_x
+    moved = np.ones(c, dtype=bool)  # centers that moved in the last update
     for _ in range(max_iters):
         sq_c = np.sum(centers * centers, axis=0)
         minus_2c = -2.0 * centers
-        for start in range(0, n, _BLOCK):
-            stop = min(start + _BLOCK, n)
-            # ||c_j||^2 - 2 x_i.c_j. BLAS may round a block of rows unlike
-            # the same rows of the whole product (OpenBLAS 0.3.31 does at
-            # p = 20 with c = 60 or 500), so the centers equal those of the
-            # one-shot N x c form unless an argmin meets a rounding-level tie
-            rows = block[: stop - start]
-            np.matmul(Xt[start:stop], minus_2c, out=rows)
-            rows += sq_c
-            a = np.argmin(rows, axis=1)  # ties go to the lowest index
-            assign[start:stop] = a
-            own[start:stop] = rows[np.arange(stop - start), a]
+        if moved.all():
+            for start in range(0, n, _BLOCK):
+                stop = min(start + _BLOCK, n)
+                a, d = _nearest(Xt[start:stop], minus_2c, sq_c, scratch)
+                assign[start:stop] = a
+                own[start:stop] = d
+        else:
+            # a point whose center moved gets its whole row again; any other
+            # point can only go to a moved center that is strictly closer, or
+            # as close with a lower index
+            lost = moved[assign]
+            for idx in _chunks(np.flatnonzero(lost)):
+                assign[idx], own[idx] = _nearest(Xt[idx], minus_2c, sq_c, scratch)
+            cols = np.flatnonzero(moved)
+            minus_2c, sq_c = minus_2c[:, cols], sq_c[cols]
+            for idx in _chunks(np.flatnonzero(~lost)):
+                a, d = _nearest(Xt[idx], minus_2c, sq_c, scratch)
+                a = cols[a]
+                kept = own[idx]
+                take = (d < kept) | ((d == kept) & (a < assign[idx]))
+                assign[idx[take]] = a[take]
+                own[idx[take]] = d[take]
         counts = np.bincount(assign, minlength=c)
         # per-center sums; bincount adds each center's members in point order
         sums = np.stack([np.bincount(assign, weights=x, minlength=c) for x in X])
@@ -222,6 +262,7 @@ def kmeans(X: np.ndarray, c: int, seed: int, max_iters: int = 100) -> np.ndarray
             # member and mean
             new_centers[:, empty] = X[:, [int(np.argmax(own + sq_x))]]
         shift = np.sqrt(np.sum((new_centers - centers) ** 2, axis=0)).max()
+        moved = np.any(new_centers != centers, axis=0)
         centers = new_centers
         if shift <= 1e-6:
             break

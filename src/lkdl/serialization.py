@@ -117,6 +117,12 @@ def load_nystrom_map(path) -> NystromMap:
     r.end()
     if X_R.shape != (p, c) or V_k.shape != (c, k) or sigma_k.shape != (k,):
         raise ValueError(f"{path}: inconsistent container dimensions")
+    if k == 0:
+        raise ValueError(f"{path}: map has dimension k = 0")
+    if not (np.all(np.isfinite(X_R)) and np.all(np.isfinite(V_k))):
+        raise ValueError(f"{path}: map has non-finite landmarks or eigenvectors")
+    if not np.all(np.isfinite(sigma_k) & (sigma_k > 0)):
+        raise ValueError(f"{path}: map eigenvalues must be finite and positive")
     return NystromMap(
         kernel=kernel, X_R=X_R, V_k=V_k, sigma_k=sigma_k,
         truncated=bool(truncated),

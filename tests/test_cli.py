@@ -204,6 +204,7 @@ def test_sweep_command(mixture_config, tmp_path):
     ("noise_sigma", "corruption.gaussian_sigma", [0.05, 4.0]),
     ("missing_fraction", "corruption.missing_fraction", [0.1, 0.5]),
     ("train_fraction", "dataset.train_fraction", [0.5, 0.8]),
+    ("k", "k", [1, 8]),
 ])
 def test_sweep_command_axes(mixture_config, tmp_path, axis, key, values):
     # each axis reaches the run: a row is that of the experiment with the
@@ -216,6 +217,8 @@ def test_sweep_command_axes(mixture_config, tmp_path, axis, key, values):
         rows = list(csv.DictReader(fh))
     assert list(rows[0])[0] == axis
     assert [float(r[axis]) for r in rows] == values
+    # the axis value is not the embedding dimension unless the axis is k
+    assert [int(r["k"]) for r in rows] == (values if axis == "k" else [8, 8])
     payload = json.loads((out / "manifest.json").read_text())
     assert payload["axis"] == axis
     assert payload["values"] == values

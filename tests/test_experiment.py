@@ -225,6 +225,12 @@ def test_run_sweep_rejects_bad_axis_and_empty_values():
         run_sweep(cfg, "c_over_N", [])
 
 
+@pytest.mark.parametrize("values", [[2.5], [0], [-3], [8, float("nan")]])
+def test_run_sweep_k_refuses_non_integers_and_values_below_one(values):
+    with pytest.raises(ValueError, match="integers >= 1"):
+        run_sweep(_mixture_config(), "k", values)
+
+
 def test_write_csv_and_manifest(tmp_path):
     cfg = _mixture_config()
     report = run_experiment(cfg)

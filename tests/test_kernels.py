@@ -115,3 +115,12 @@ def test_polynomial_gram_is_psd(seed, degree):
     K = kernel_matrix(KernelSpec(kind="polynomial", degree=degree), X, X)
     w = np.linalg.eigvalsh((K + K.T) / 2)
     assert w.min() >= -1e-8 * max(1.0, w.max())
+
+
+@pytest.mark.parametrize("kind", ["linear", "polynomial", "gaussian"])
+@pytest.mark.parametrize("field", ["sigma", "coef0"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_kernel_spec_refuses_non_finite_parameters(kind, field, value):
+    # a NaN sigma passes a "sigma <= 0" test and would make every entry NaN
+    with pytest.raises(ValueError, match="finite"):
+        KernelSpec(kind=kind, **{field: value})

@@ -210,6 +210,51 @@ def test_kmeans_matches_reference_where_blocks_round_differently(seed):
     assert np.array_equal(kmeans(X, 60, seed), _reference_kmeans(X, 60, seed))
 
 
+@pytest.mark.parametrize("offset", [1e3, 1e4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kmeans_matches_reference_on_shifted_data(seed, offset):
+    # the whole loop far from the origin, where ||x||^2 dwarfs the spread
+    # and ||c||^2 - 2 x.c rounds on the scale of ||x||^2
+    X = synth_gaussian_mixture(300, 4, 20, spread=4.0, seed=seed).samples + offset
+    assert np.array_equal(kmeans(X, 60, seed), _reference_kmeans(X, 60, seed))
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_kmeans_matches_reference_while_some_centers_rest(seed, max_iters):
+    # stopped after each of the first iterations: from the second on, a
+    # point keeps its distance to its center unless that center moved
+    X = synth_gaussian_mixture(300, 4, 20, spread=2.0, seed=seed).samples
+    centers = kmeans(X, 60, seed, max_iters=max_iters)
+    assert np.array_equal(
+        centers, _reference_kmeans(X, 60, seed, max_iters=max_iters)
+    )
+    if max_iters > 2:
+        # the last pass met centers of which the update before it moved
+        # some and kept others
+        before = [kmeans(X, 60, seed, max_iters - i) for i in (1, 2)]
+        assert 0 < np.any(before[0] != before[1], axis=0).sum() < 60
+
+
+@pytest.mark.parametrize("points, c, seed", [
+    ([12, 15, 4, 1, 10, 12, 9, 7, 9, 11, 16, 11, 14, 2, 15, 5], 3, 44903),
+    ([1, 1, 16, 3, 1, 14, 5, 7, 5, 10, 3, 7, 1, 13, 1, 7, 10, 11], 4, 436),
+])
+def test_kmeans_matches_reference_on_ties_with_a_moved_center(points, c, seed):
+    # integer points on a line: some pass finds a point exactly as far from
+    # a moved lower-index center as from its own, unmoved one, and the point
+    # must go to the lower index (found by a random search; keeping the
+    # point where the tie leaves it gives other centers on both)
+    X = np.array([points], dtype=np.float64)
+    assert np.array_equal(kmeans(X, c, seed), _reference_kmeans(X, c, seed))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_kmeans_matches_reference_to_convergence(seed):
+    X = synth_gaussian_mixture(500, 4, 20, spread=2.0, seed=seed).samples
+    assert np.array_equal(kmeans(X, 200, seed), _reference_kmeans(X, 200, seed))
+
+
 @pytest.mark.parametrize("offset", [0.0, 1e3, 1e4])
 @pytest.mark.parametrize("c_fraction", [0.1, 0.2])
 @pytest.mark.parametrize("seed", [0, 1, 2])

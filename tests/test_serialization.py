@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from lkdl.classify import ClassDictionaryModel
 from lkdl.kernels import KernelSpec
 from lkdl.lcksvd import LCKSVDModel
-from lkdl.nystrom import fit, transform
+from lkdl.nystrom import NystromMap, fit, transform
 from lkdl.sampling import SamplerSpec
 from lkdl.serialization import (
     FORMAT_VERSION,
@@ -116,6 +116,58 @@ def test_corrupted_containers_rejected(tmp_path):
     with pytest.raises(ValueError, match="truncated"):
         load_model(truncated)
 
+
+def _saved_map(tmp_path, **fields):
+    """A fitted map saved with ``fields`` replaced (any shape), and its path."""
+    X = np.random.default_rng(8).standard_normal((3, 20))
+    nmap = fit(
+        X, KernelSpec(kind="gaussian", sigma=1.5),
+        SamplerSpec(method="uniform", c=6, seed=2), k=4,
+    )
+    f = tmp_path / "map.lkdl"
+    save_nystrom_map(NystromMap(**{**vars(nmap), **fields}), f)
+    return nmap, f
+
+
+def test_map_of_dimension_zero_rejected(tmp_path):
+    # a k = 0 map would transform every sample to an empty feature vector
+    _, f = _saved_map(tmp_path, V_k=np.empty((6, 0)), sigma_k=np.empty(0))
+    with pytest.raises(ValueError, match="k = 0"):
+        load_nystrom_map(f)
+
+
+@pytest.mark.parametrize("field", ["X_R", "V_k"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_map_with_non_finite_arrays_rejected(tmp_path, field, value):
+    nmap, _ = _saved_map(tmp_path)
+    a = getattr(nmap, field).copy()
+    a[1, 2] = value
+    _, f = _saved_map(tmp_path, **{field: a})
+    with pytest.raises(ValueError, match="non-finite"):
+        load_nystrom_map(f)
+
+
+@pytest.mark.parametrize("value", [-1.0, np.nan, 0.0, np.inf])
+def test_map_with_bad_eigenvalue_rejected(tmp_path, value):
+    # transform scales by sigma^(-1/2): these give non-finite features
+    nmap, _ = _saved_map(tmp_path)
+    sigma_k = nmap.sigma_k.copy()
+    sigma_k[-1] = value
+    _, f = _saved_map(tmp_path, sigma_k=sigma_k)
+    with pytest.raises(ValueError, match="finite and positive"):
+        load_nystrom_map(f)
+
+
+@pytest.mark.parametrize("offset", [13, 21])  # sigma, coef0 of the kernel
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_map_with_non_finite_kernel_parameter_rejected(tmp_path, offset, value):
+    # the kernel field (u8 kind, u32 degree, f64 sigma, f64 coef0) follows
+    # the 8-byte header
+    _, f = _saved_map(tmp_path)
+    raw = f.read_bytes()
+    f.write_bytes(raw[:offset] + np.float64(value).tobytes() + raw[offset + 8:])
+    with pytest.raises(ValueError, match="finite"):
+        load_nystrom_map(f)
 
 
 def test_corrupt_but_well_formed_models_rejected(tmp_path):
