@@ -149,7 +149,7 @@ def test_map_with_non_finite_arrays_rejected(tmp_path, field, value):
 
 @pytest.mark.parametrize("value", [-1.0, np.nan, 0.0, np.inf])
 def test_map_with_bad_eigenvalue_rejected(tmp_path, value):
-    # transform scales by sigma^(-1/2): these give non-finite features
+    # transform scales by sigma^(-1/2): these give non-finite or zero features
     nmap, _ = _saved_map(tmp_path)
     sigma_k = nmap.sigma_k.copy()
     sigma_k[-1] = value
