@@ -219,34 +219,27 @@ def kmeans(X: np.ndarray, c: int, seed: int, max_iters: int = 100) -> np.ndarray
 
     Xt = np.ascontiguousarray(X.T)
     scratch = np.empty(min(_BLOCK, n) * c)
-    assign = np.empty(n, dtype=np.intp)
+    assign = np.zeros(n, dtype=np.intp)
     own = np.empty(n)  # squared distance to the assigned center, less sq_x
     moved = np.ones(c, dtype=bool)  # centers that moved in the last update
     for _ in range(max_iters):
         sq_c = np.sum(centers * centers, axis=0)
         minus_2c = -2.0 * centers
-        if moved.all():
-            for start in range(0, n, _BLOCK):
-                stop = min(start + _BLOCK, n)
-                a, d = _nearest(Xt[start:stop], minus_2c, sq_c, scratch)
-                assign[start:stop] = a
-                own[start:stop] = d
-        else:
-            # a point whose center moved gets its whole row again; any other
-            # point can only go to a moved center that is strictly closer, or
-            # as close with a lower index
-            lost = moved[assign]
-            for idx in _chunks(np.flatnonzero(lost)):
-                assign[idx], own[idx] = _nearest(Xt[idx], minus_2c, sq_c, scratch)
-            cols = np.flatnonzero(moved)
-            minus_2c, sq_c = minus_2c[:, cols], sq_c[cols]
-            for idx in _chunks(np.flatnonzero(~lost)):
-                a, d = _nearest(Xt[idx], minus_2c, sq_c, scratch)
-                a = cols[a]
-                kept = own[idx]
-                take = (d < kept) | ((d == kept) & (a < assign[idx]))
-                assign[idx[take]] = a[take]
-                own[idx[take]] = d[take]
+        # a point whose center moved gets its whole row again; any other
+        # point can only go to a moved center that is strictly closer, or as
+        # close with a lower index. All centers moved before the first pass
+        lost = moved[assign]
+        for idx in _chunks(np.flatnonzero(lost)):
+            assign[idx], own[idx] = _nearest(Xt[idx], minus_2c, sq_c, scratch)
+        cols = np.flatnonzero(moved)
+        minus_2c, sq_c = minus_2c[:, cols], sq_c[cols]
+        for idx in _chunks(np.flatnonzero(~lost)):
+            a, d = _nearest(Xt[idx], minus_2c, sq_c, scratch)
+            a = cols[a]
+            kept = own[idx]
+            take = (d < kept) | ((d == kept) & (a < assign[idx]))
+            assign[idx[take]] = a[take]
+            own[idx[take]] = d[take]
         counts = np.bincount(assign, minlength=c)
         # per-center sums; bincount adds each center's members in point order
         sums = np.stack([np.bincount(assign, weights=x, minlength=c) for x in X])

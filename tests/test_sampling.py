@@ -202,20 +202,16 @@ def test_kmeans_matches_reference_on_gaussian_mixtures(c, seed):
     assert np.array_equal(kmeans(X, c, seed), _reference_kmeans(X, c, seed))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_kmeans_matches_reference_where_blocks_round_differently(seed):
+@pytest.mark.parametrize("seed, offset", [
+    pytest.param(seed, offset, id=f"{seed}-{offset:g}" if offset else f"{seed}")
+    for offset in (0.0, 1e3, 1e4)
+    for seed in range(4)
+])
+def test_kmeans_matches_reference_where_blocks_round_differently(seed, offset):
     # at p = 20, c = 60 the 512-row blocks of the distance product round
-    # unlike the whole product; the centers still agree
-    X = synth_gaussian_mixture(300, 4, 20, spread=2.0, seed=seed).samples
-    assert np.array_equal(kmeans(X, 60, seed), _reference_kmeans(X, 60, seed))
-
-
-@pytest.mark.parametrize("offset", [1e3, 1e4])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_kmeans_matches_reference_on_shifted_data(seed, offset):
-    # the whole loop far from the origin, where ||x||^2 dwarfs the spread
-    # and ||c||^2 - 2 x.c rounds on the scale of ||x||^2
-    X = synth_gaussian_mixture(300, 4, 20, spread=4.0, seed=seed).samples + offset
+    # unlike the whole product; the centers still agree, also far from the
+    # origin, where ||c||^2 - 2 x.c rounds on the scale of ||x||^2
+    X = synth_gaussian_mixture(300, 4, 20, spread=2.0, seed=seed).samples + offset
     assert np.array_equal(kmeans(X, 60, seed), _reference_kmeans(X, 60, seed))
 
 
