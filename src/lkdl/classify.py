@@ -31,6 +31,19 @@ class ClassDictionaryModel:
         return len(self.dictionaries)
 
 
+def fit_per_class(X: np.ndarray, labels: np.ndarray, seed: int, fit):
+    """Split the columns of X by label; returns the sorted distinct labels
+    and ``fit(X_i, seed + i)`` for the i-th of them, in that order."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    labels = np.ravel(np.asarray(labels))
+    if labels.shape[0] != X.shape[1]:
+        raise ValueError("label count does not match sample count")
+    classes = np.unique(labels)
+    return classes, [
+        fit(X[:, labels == lab], seed + i) for i, lab in enumerate(classes)
+    ]
+
+
 def train_per_class(
     F_train: np.ndarray,
     labels: np.ndarray,
@@ -40,28 +53,12 @@ def train_per_class(
     method: str = "ksvd",
     seed: int = 0,
 ) -> ClassDictionaryModel:
-    """Learn an independent dictionary on each class partition."""
-    F_train = np.atleast_2d(np.asarray(F_train, dtype=np.float64))
-    labels = np.ravel(np.asarray(labels))
-    if labels.shape[0] != F_train.shape[1]:
-        raise ValueError("label count does not match sample count")
-    classes = np.unique(labels)
-    dictionaries = []
-    for i, lab in enumerate(classes):
-        cols = labels == lab
-        n_i = int(np.count_nonzero(cols))
-        if n_i == 0:
-            raise ValueError(f"class {lab} has no training samples")
-        if m_per_class > n_i:
-            warnings.warn(
-                f"class {lab}: m_per_class={m_per_class} exceeds "
-                f"class size {n_i}"
-            )
-        D, _, _ = learn(
-            F_train[:, cols], m_per_class, q, iterations,
-            method=method, seed=seed + i,
-        )
-        dictionaries.append(D)
+    """Learn an independent dictionary on each class partition; a class
+    with fewer than ``m_per_class`` samples is padded as ``learn`` pads."""
+    def fit(F_i, s):
+        return learn(F_i, m_per_class, q, iterations, method=method, seed=s)[0]
+
+    classes, dictionaries = fit_per_class(F_train, labels, seed, fit)
     return ClassDictionaryModel(labels=classes, dictionaries=dictionaries, q=q)
 
 

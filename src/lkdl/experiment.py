@@ -7,8 +7,11 @@ map to a feature representation, ``train_learner``, ``predict``, evaluate):
 * ``lkdl``            — landmark virtual-sample features, then any linear
                         learner;
 * ``kernel_baseline`` — identity features, then the exact-kernel per-class
-                        learner (KOMP + batch coefficient update on
-                        per-class kernel submatrices).
+                        learner: kernel MOD on each class's K_i, trained
+                        through the loop ``train_per_class`` uses
+                        (``classify.fit_per_class``). The model keeps A_i
+                        and M_i = A_i^T K_i A_i, not K_i; test samples Z
+                        are KOMP-coded from K(Z, X_i) A_i and M_i.
 
 Repeats derive per-run seeds from the master seed via numpy SeedSequence
 (PCG64 streams), so runs are independent but reproducible.
@@ -30,6 +33,7 @@ from .classify import (
     classify_batch,
     corrupt_gaussian,
     corrupt_missing,
+    fit_per_class,
     train_per_class,
 )
 from . import datasets as _datasets
@@ -41,7 +45,7 @@ from .sampling import SamplerSpec
 # ``komp`` is re-exported: code that looks up ``experiment.komp``, such as
 # the benchmark's tracer, keeps working
 from .sparse_coding import komp  # noqa: F401
-from .sparse_coding import _komp_codes, residual_energies
+from .sparse_coding import _dense_codes, residual_energies
 
 RNG_NAME = "numpy-PCG64"
 
@@ -194,13 +198,13 @@ def preprocess(
 
 @dataclass
 class KernelBaselineModel:
-    """Per-class exact-kernel model: class training samples and learned
-    coefficient dictionaries."""
+    """Per-class exact-kernel model: class samples X_i, coefficient
+    dictionaries A_i and atom Grams A_i^T K(X_i, X_i) A_i."""
 
     labels: np.ndarray
     class_samples: list[np.ndarray]
-    class_kernels: list[np.ndarray]
     coefficient_dicts: list[np.ndarray]
+    atom_grams: list[np.ndarray]
     kernel: KernelSpec
     q: int
 
@@ -214,39 +218,36 @@ def kernel_baseline_train(
     iterations: int,
     seed: int,
 ) -> KernelBaselineModel:
-    labels = np.ravel(np.asarray(labels))
-    if labels.shape[0] != X_train.shape[1]:
-        raise ValueError("label count does not match sample count")
-    classes = np.unique(labels)
-    samples, kernels_, dicts = [], [], []
-    for i, lab in enumerate(classes):
-        X_i = X_train[:, labels == lab]
+    """Kernel MOD on each class's kernel matrix K_i, with at most one atom
+    per class sample (``min(m_per_class, n_i)``)."""
+    def fit(X_i, s):
         K_i = kernel_matrix(kernel, X_i, X_i)
-        m_i = min(m_per_class, X_i.shape[1])
-        A_i, _, _ = kernel_mod_learn(K_i, m_i, q, iterations, seed=seed + i)
-        samples.append(X_i)
-        kernels_.append(K_i)
-        dicts.append(A_i)
+        A_i, _, _ = kernel_mod_learn(
+            K_i, min(m_per_class, X_i.shape[1]), q, iterations, seed=s
+        )
+        return X_i, A_i, A_i.T @ (K_i @ A_i)
+
+    classes, fits = fit_per_class(X_train, labels, seed, fit)
+    samples, dicts, grams = map(list, zip(*fits))
     return KernelBaselineModel(
-        labels=classes, class_samples=samples, class_kernels=kernels_,
-        coefficient_dicts=dicts, kernel=kernel, q=q,
+        labels=classes, class_samples=samples, coefficient_dicts=dicts,
+        atom_grams=grams, kernel=kernel, q=q,
     )
 
 
 def kernel_baseline_classify(
     model: KernelBaselineModel, X_test: np.ndarray
 ) -> np.ndarray:
-    n = X_test.shape[1]
-    res = np.empty((model.labels.shape[0], n))
+    """Label of the class whose KOMP code leaves the least residual energy
+    in feature space, per column of X_test."""
     kzz = kernel_diagonal(model.kernel, X_test)
-    for i, (X_i, K_i, A_i) in enumerate(
-        zip(model.class_samples, model.class_kernels, model.coefficient_dicts)
+    res = []
+    for X_i, A_i, M_i in zip(
+        model.class_samples, model.coefficient_dicts, model.atom_grams
     ):
-        # the atom Gram, formed once for the pursuit and the residuals
-        M = A_i.T @ (K_i @ A_i)
-        K_ZX = kernel_matrix(model.kernel, X_test, X_i)
-        Gamma = _komp_codes(K_ZX @ A_i, M, kzz, model.q)
-        res[i] = residual_energies(Gamma, M, kzz)
+        KA = kernel_matrix(model.kernel, X_test, X_i) @ A_i
+        Gamma = _dense_codes(KA.T, M_i, kzz, model.q)
+        res.append(residual_energies(Gamma, M_i, kzz))
     return model.labels[np.argmin(res, axis=0)]
 
 

@@ -40,34 +40,22 @@ class LCKSVDModel:
     atom_scales: np.ndarray     # per-atom stacked-column norms (extraction record)
 
 
-def build_label_structures(
-    labels: np.ndarray, m: int, class_atom_counts: list[int] | None = None
-) -> LabelStructures:
-    """One-hot label matrix H and ideal code matrix Q with atoms partitioned
-    contiguously by class in label order."""
+def build_label_structures(labels: np.ndarray, m: int) -> LabelStructures:
+    """One-hot label matrix H and ideal code matrix Q with the m atoms split
+    evenly and contiguously over the classes in label order."""
     labels = np.ravel(np.asarray(labels))
     classes = np.unique(labels)
-    L, n = classes.shape[0], labels.shape[0]
-    if class_atom_counts is None:
-        if m % L != 0:
-            raise ValueError(
-                f"m={m} atoms cannot be split evenly over {L} classes; "
-                "pass class_atom_counts"
-            )
-        class_atom_counts = [m // L] * L
-    if len(class_atom_counts) != L or sum(class_atom_counts) != m:
-        raise ValueError("class_atom_counts must sum to the number of atoms")
-    H = np.zeros((L, n))
-    Q = np.zeros((m, n))
-    atom_labels = np.empty(m, dtype=classes.dtype)
-    start = 0
-    for i, (lab, cnt) in enumerate(zip(classes, class_atom_counts)):
-        cols = labels == lab
-        H[i, cols] = 1.0
-        Q[start : start + cnt, :][:, cols] = 1.0
-        atom_labels[start : start + cnt] = lab
-        start += cnt
-    return LabelStructures(H=H, Q=Q, atom_labels=atom_labels, classes=classes)
+    L = classes.shape[0]
+    if m % L != 0:
+        raise ValueError(
+            f"m={m} atoms cannot be split evenly over {L} classes; "
+            "learner.m must be a multiple of the class count"
+        )
+    H = (labels == classes[:, None]).astype(np.float64)
+    return LabelStructures(
+        H=H, Q=np.repeat(H, m // L, axis=0),
+        atom_labels=np.repeat(classes, m // L), classes=classes,
+    )
 
 
 def ridge_classifier(H: np.ndarray, Gamma: np.ndarray, tau2: float) -> np.ndarray:
@@ -90,7 +78,6 @@ def train(
     variant: int = 2,
     tau2: float = 1e-4,
     seed: int = 0,
-    class_atom_counts: list[int] | None = None,
 ) -> LCKSVDModel:
     """Learn (D, T, Theta) through the stacked reformulation.
 
@@ -107,7 +94,7 @@ def train(
     if alpha < 0 or beta < 0:
         raise ValueError("alpha and beta must be nonnegative")
     p, n = X.shape
-    structures = build_label_structures(labels, m, class_atom_counts)
+    structures = build_label_structures(labels, m)
     L = structures.classes.shape[0]
     sa, sb = float(np.sqrt(alpha)), float(np.sqrt(beta))
 

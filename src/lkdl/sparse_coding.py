@@ -134,10 +134,12 @@ def _batch_pursuit(
     return support, values, size, rnorm2, degenerate
 
 
-def _dense_codes(support, values, size, m: int) -> np.ndarray:
-    """Scatter per-column codes from ``_batch_pursuit`` into an m x n
-    coefficient matrix."""
-    Gamma = np.zeros((m, size.shape[0]))
+def _dense_codes(C0, G, norms2, q: int) -> np.ndarray:
+    """Batch pursuit from (correlations ``C0``, atom Gram ``G``, signal
+    energies ``norms2``), its codes scattered into the m x n coefficient
+    matrix."""
+    support, values, size, _, _ = _batch_pursuit(C0, G, norms2, q)
+    Gamma = np.zeros((G.shape[0], size.shape[0]))
     filled = np.arange(support.shape[1]) < size[:, None]
     Gamma[support[filled], np.nonzero(filled)[0]] = values[filled]
     return Gamma
@@ -175,8 +177,7 @@ def omp_batch(D: np.ndarray, X: np.ndarray, q: int) -> np.ndarray:
     """
     D = np.atleast_2d(np.asarray(D, dtype=np.float64))
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    codes = _batch_pursuit(D.T @ X, D.T @ D, np.sum(X * X, axis=0), q)
-    return _dense_codes(*codes[:3], D.shape[1])
+    return _dense_codes(D.T @ X, D.T @ D, np.sum(X * X, axis=0), q)
 
 
 def normalize_coefficient_dictionary(A: np.ndarray, K_XX: np.ndarray) -> np.ndarray:
@@ -225,14 +226,7 @@ def komp_batch(
     K_ZX = np.atleast_2d(np.asarray(K_ZX, dtype=np.float64))
     kzz = np.ravel(np.asarray(kzz, dtype=np.float64))
     M = A.T @ (np.asarray(K_XX, dtype=np.float64) @ A)
-    return _komp_codes(K_ZX @ A, M, kzz, q)
-
-
-def _komp_codes(KA: np.ndarray, M: np.ndarray, kzz: np.ndarray, q: int):
-    """``komp_batch`` from its products: the n_z x m correlations
-    KA = K(Z, X) A and the atom Gram M = A^T K(X, X) A."""
-    codes = _batch_pursuit(KA.T, M, kzz, q)
-    return _dense_codes(*codes[:3], M.shape[0])
+    return _dense_codes((K_ZX @ A).T, M, kzz, q)
 
 
 def residual_energies(

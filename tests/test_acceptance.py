@@ -300,7 +300,7 @@ def _scaling_config(pipeline, n_per_class):
     }
 
 
-# Median (train, total) times of three run_single calls per config, in the
+# Median (train, total) times of five run_single calls per config, in the
 # order given. Run in a fresh interpreter whose BLAS uses one thread, so the
 # slopes do not depend on the host's default thread count.
 _TIMING_SCRIPT = """
@@ -313,7 +313,7 @@ for raw in json.loads(sys.argv[1]):
     train, test = load_split(cfg)
     seed = derive_seeds(cfg.seed, 1)[0]
     trains, totals = [], []
-    for _ in range(3):
+    for _ in range(5):
         t0 = time.monotonic()
         row = run_single(cfg, train, test, seed)
         totals.append(time.monotonic() - t0)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -173,3 +175,17 @@ def test_oversized_dictionary_warns():
     X, y = _two_subspace_data(seed=9, n=3)
     with pytest.warns(UserWarning, match="exceeds"):
         train_per_class(X, y, m_per_class=5, q=1, iterations=1)
+
+
+def test_oversized_class_warns_once():
+    # classes of 3, 8 and 2 samples against 5 atoms: the two small classes
+    # are padded, and each says so exactly once
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((4, 13))
+    y = np.repeat([1, 2, 3], [3, 8, 2])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        train_per_class(X, y, m_per_class=5, q=1, iterations=1)
+    messages = [str(w.message) for w in caught if w.category is UserWarning]
+    assert len(messages) == 2, messages
+    assert all("exceeds" in m for m in messages)

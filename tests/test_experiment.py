@@ -19,7 +19,8 @@ from lkdl.experiment import (
     write_csv,
     write_manifest,
 )
-from lkdl.kernels import KernelSpec
+from lkdl.kernels import KernelSpec, kernel_diagonal, kernel_matrix
+from lkdl.sparse_coding import komp_batch, residual_energies
 
 
 def _mixture_config(**overrides):
@@ -152,7 +153,42 @@ def test_kernel_baseline_learns_at_most_one_atom_per_sample():
             X, labels, KernelSpec(kind="gaussian", sigma=1.0), 50, 1, 2, seed=0
         )
     assert [A.shape for A in model.coefficient_dicts] == [(5, 5), (7, 7)]
-    assert [K.shape for K in model.class_kernels] == [(5, 5), (7, 7)]
+    assert [M.shape for M in model.atom_grams] == [(5, 5), (7, 7)]
+    for X_i, A_i, M_i in zip(
+        model.class_samples, model.coefficient_dicts, model.atom_grams
+    ):
+        K_i = kernel_matrix(model.kernel, X_i, X_i)
+        assert np.array_equal(M_i, A_i.T @ (K_i @ A_i))
+
+
+def _reference_kernel_baseline_classify(model, X_test):
+    # the classifier as it was when the model kept each class's kernel
+    # matrix and formed A_i^T K_i A_i on every call
+    kzz = kernel_diagonal(model.kernel, X_test)
+    res = []
+    for X_i, A_i in zip(model.class_samples, model.coefficient_dicts):
+        K_i = kernel_matrix(model.kernel, X_i, X_i)
+        Gamma = komp_batch(
+            K_i, kernel_matrix(model.kernel, X_test, X_i), kzz, A_i, model.q
+        )
+        res.append(residual_energies(Gamma, A_i.T @ (K_i @ A_i), kzz))
+    return model.labels[np.argmin(res, axis=0)]
+
+
+@pytest.mark.parametrize("q", [1, 3])
+def test_kernel_baseline_classify_matches_reference(q):
+    cfg = _mixture_config(dataset={
+        "synthetic": "gaussian_mixture", "n_per_class": 60, "n_classes": 3,
+        "p": 5, "seed": 2,
+    })
+    train, test = load_split(cfg)
+    model = kernel_baseline_train(
+        train.samples, train.labels, cfg.kernel, 12, q, 3, seed=5
+    )
+    assert np.array_equal(
+        kernel_baseline_classify(model, test.samples),
+        _reference_kernel_baseline_classify(model, test.samples),
+    )
 
 
 @pytest.mark.parametrize("learner_type", ["lcksvd", "foo"])
