@@ -167,7 +167,7 @@ def cmd_classify(cfg, args) -> int:
         for i in range(F_test.shape[1]):
             writer.writerow(
                 [i, int(test.labels[i]), int(pred[i])]
-                + [repr(v) for v in values[:, i]]
+                + [repr(float(v)) for v in values[:, i]]
             )
     acc = float(np.mean(pred == test.labels))
     print(f"accuracy {acc:.4f}; wrote {path}")

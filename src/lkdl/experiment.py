@@ -45,7 +45,7 @@ from .sampling import SamplerSpec
 # ``komp`` is re-exported: code that looks up ``experiment.komp``, such as
 # the benchmark's tracer, keeps working
 from .sparse_coding import komp  # noqa: F401
-from .sparse_coding import _dense_codes, residual_energies
+from .sparse_coding import residual_energies
 
 RNG_NAME = "numpy-PCG64"
 
@@ -246,8 +246,7 @@ def kernel_baseline_classify(
         model.class_samples, model.coefficient_dicts, model.atom_grams
     ):
         KA = kernel_matrix(model.kernel, X_test, X_i) @ A_i
-        Gamma = _dense_codes(KA.T, M_i, kzz, model.q)
-        res.append(residual_energies(Gamma, M_i, kzz))
+        res.append(residual_energies(KA.T, M_i, kzz, model.q))
     return model.labels[np.argmin(res, axis=0)]
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dict_learning import init_dictionary_from_columns, learn
-from .sparse_coding import omp, omp_batch
+from .sparse_coding import omp_batch
 
 
 @dataclass
@@ -82,11 +82,13 @@ def train(
     """Learn (D, T, Theta) through the stacked reformulation.
 
     The stacked dictionary is initialized from data columns (same column
-    choice as plain learning with this seed), T from the identity and Theta
-    from the ridge closed form on the initial codes. After learning, the
-    blocks are extracted and every column is divided by its atom's norm, so
-    reconstruction, code-transform and classifier scores are all invariant
-    to the normalization.
+    choice as plain learning with this seed), T from the identity and, in
+    variant 2, Theta from the ridge closed form on the initial codes. After
+    learning, the blocks are extracted and every column is divided by its
+    atom's norm, so reconstruction, code-transform and classifier scores are
+    all invariant to the normalization. Theta is the ridge closed form on
+    the learned codes wherever no classifier block is learned (variant 1,
+    or beta = 0).
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if variant not in (1, 2):
@@ -95,18 +97,17 @@ def train(
         raise ValueError("alpha and beta must be nonnegative")
     p, n = X.shape
     structures = build_label_structures(labels, m)
-    L = structures.classes.shape[0]
     sa, sb = float(np.sqrt(alpha)), float(np.sqrt(beta))
 
     rng = np.random.Generator(np.random.PCG64(seed))
     D0 = init_dictionary_from_columns(X, m, rng)
-    Gamma0 = omp_batch(D0, X, q)
-    T0 = np.eye(m)
-    Theta0 = ridge_classifier(structures.H, Gamma0, max(tau2, 1e-12))
 
     blocks = [X, sa * structures.Q]
-    init_blocks = [D0, sa * T0]
+    init_blocks = [D0, sa * np.eye(m)]
     if variant == 2:
+        Theta0 = ridge_classifier(
+            structures.H, omp_batch(D0, X, q), max(tau2, 1e-12)
+        )
         blocks.append(sb * structures.H)
         init_blocks.append(sb * Theta0)
     X_new = np.concatenate(blocks, axis=0)
@@ -128,11 +129,9 @@ def train(
     safe = np.where(scales > 0, scales, 1.0)
     D = Db / safe
     T = Tb / safe
-    if variant == 2:
-        Hb = D_new[p + m :] / sb if sb > 0 else np.zeros((L, m))
-        Theta = Hb / safe
-        if sb == 0:
-            Theta = ridge_classifier(structures.H, Gamma, tau2)
+    # no classifier block is learned in variant 1 or at beta = 0
+    if variant == 2 and sb > 0:
+        Theta = D_new[p + m :] / sb / safe
     else:
         Theta = ridge_classifier(structures.H, Gamma, tau2)
     return LCKSVDModel(
@@ -147,8 +146,7 @@ def train(
 def predict(model: LCKSVDModel, x: np.ndarray):
     """Sparse code x over D with the training cardinality, apply the
     classifier; returns (label, scores). Ties break to the lowest label."""
-    code = omp(model.D, np.ravel(x), model.q)
-    scores = model.Theta @ code.to_dense(model.D.shape[1])
+    scores = class_scores(model, np.reshape(x, (-1, 1)))[:, 0]
     return model.classes[int(np.argmax(scores))], scores
 
 

@@ -8,9 +8,10 @@ residual (lowest index on ties), re-solve least squares on the support,
 repeat until the code has q atoms or the residual is zero. Single-signal
 calls are batches of one.
 
-Every code is a least-squares fit on its support, so its residual energy
-is ||x||^2 - gamma^T G gamma for the atom Gram G (``residual_energies``),
-in either inner product.
+Every code is a least-squares fit on its support, so the pursuit tracks
+its residual energy as ||x||^2 - c_S^T gamma_S, in either inner product;
+the classifiers read that value (``residual_energies``) instead of
+forming the codes.
 """
 
 from __future__ import annotations
@@ -29,11 +30,6 @@ class SparseCode:
     values: np.ndarray
     residual_norm: float
     degenerate: bool = False
-
-    def to_dense(self, m: int) -> np.ndarray:
-        g = np.zeros(m)
-        g[self.support] = self.values
-        return g
 
 
 def _batch_pursuit(
@@ -229,10 +225,8 @@ def komp_batch(
     return _dense_codes((K_ZX @ A).T, M, kzz, q)
 
 
-def residual_energies(
-    Gamma: np.ndarray, G: np.ndarray, norms2: np.ndarray
-) -> np.ndarray:
-    """Squared residuals max(||x_i||^2 - gamma_i^T G gamma_i, 0) of
-    least-squares codes (the columns of Gamma, as the pursuits return them)
-    over atoms with Gram G, given the signals' squared norms ``norms2``."""
-    return np.maximum(norms2 - np.einsum("ij,ij->j", Gamma, G @ Gamma), 0.0)
+def residual_energies(C0, G, norms2, q: int) -> np.ndarray:
+    """Residual energies max(||x_i||^2 - c_S^T gamma_S, 0) of the batch
+    pursuit's codes from (correlations ``C0``, atom Gram ``G``, signal
+    energies ``norms2``), as the pursuit tracks them for its stop rule."""
+    return _batch_pursuit(C0, G, norms2, q)[3]

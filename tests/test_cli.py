@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import yaml
 
-from lkdl import experiment
+from lkdl import experiment, lcksvd, nystrom, serialization
+from lkdl.classify import class_residuals
 from lkdl.cli import apply_overrides, main
 
 
@@ -185,6 +186,42 @@ def test_train_classify_accuracy_equals_run_single(
     train, test = experiment.load_split(cfg)
     seed = experiment.derive_seeds(cfg.seed, 1)[0]
     assert cli_accuracy == experiment.run_single(cfg, train, test, seed)["accuracy"]
+
+
+@pytest.mark.parametrize("learner, column", [
+    ("per_class", "residual"),
+    ("lcksvd", "score"),
+])
+def test_classify_columns_are_plain_floats(
+    mixture_config, tmp_path, learner, column
+):
+    # the residual and score columns hold the classifier's values as plain
+    # float literals (not numpy scalar reprs) that parse back exactly
+    sets = ["--set", f"learner.type={learner}", "--set", "learner.m=8"]
+    model_dir, pred_dir = tmp_path / "model_dir", tmp_path / "pred_dir"
+    assert main(["train", "--config", str(mixture_config),
+                 "--out", str(model_dir)] + sets) == 0
+    assert main(["classify", "--config", str(mixture_config),
+                 "--out", str(pred_dir),
+                 "--model", str(model_dir / "model.lkdl"),
+                 "--map", str(model_dir / "nystrom_map.lkdl")] + sets) == 0
+    with (pred_dir / "predictions.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    parsed = np.array([[float(r[f"{column}_{lab}"]) for r in rows]
+                       for lab in (1, 2)])
+
+    cfg = experiment.ExperimentConfig.from_dict(
+        yaml.safe_load(mixture_config.read_text())
+    )
+    _, test = experiment.load_split(cfg)
+    nmap = serialization.load_nystrom_map(model_dir / "nystrom_map.lkdl")
+    F_test = nystrom.transform(nmap, test.samples)
+    model = serialization.load_model(model_dir / "model.lkdl")
+    if learner == "lcksvd":
+        expected = lcksvd.class_scores(model, F_test)
+    else:
+        expected = class_residuals(model, F_test)
+    assert np.array_equal(parsed, expected)
 
 
 def test_sweep_command(mixture_config, tmp_path):

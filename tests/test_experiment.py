@@ -19,6 +19,7 @@ from lkdl.experiment import (
     write_csv,
     write_manifest,
 )
+from lkdl.classify import class_residuals
 from lkdl.kernels import KernelSpec, kernel_diagonal, kernel_matrix
 from lkdl.sparse_coding import komp_batch, residual_energies
 
@@ -163,7 +164,8 @@ def test_kernel_baseline_learns_at_most_one_atom_per_sample():
 
 def _reference_kernel_baseline_classify(model, X_test):
     # the classifier as it was when the model kept each class's kernel
-    # matrix and formed A_i^T K_i A_i on every call
+    # matrix, formed A_i^T K_i A_i on every call and recomputed each
+    # residual energy as kzz - gamma^T M_i gamma from the dense codes
     kzz = kernel_diagonal(model.kernel, X_test)
     res = []
     for X_i, A_i in zip(model.class_samples, model.coefficient_dicts):
@@ -171,7 +173,10 @@ def _reference_kernel_baseline_classify(model, X_test):
         Gamma = komp_batch(
             K_i, kernel_matrix(model.kernel, X_test, X_i), kzz, A_i, model.q
         )
-        res.append(residual_energies(Gamma, A_i.T @ (K_i @ A_i), kzz))
+        M_i = A_i.T @ (K_i @ A_i)
+        res.append(np.maximum(
+            kzz - np.einsum("ij,ij->j", Gamma, M_i @ Gamma), 0.0
+        ))
     return model.labels[np.argmin(res, axis=0)]
 
 
@@ -189,6 +194,61 @@ def test_kernel_baseline_classify_matches_reference(q):
         kernel_baseline_classify(model, test.samples),
         _reference_kernel_baseline_classify(model, test.samples),
     )
+
+
+@pytest.mark.filterwarnings("ignore:.*exceeds numerical rank")
+@pytest.mark.parametrize("q", [1, 3])
+@pytest.mark.parametrize("kernel", [
+    {"kind": "gaussian", "sigma": 1.0},
+    {"kind": "polynomial", "degree": 2, "coef0": 1.0},
+])
+def test_lkdl_with_every_sample_a_landmark_classifies_as_the_baseline(
+    kernel, q
+):
+    # the paper's identity: with every training sample a landmark and k up
+    # to the numerical rank, the virtual samples satisfy F_i^T F_i = K_i,
+    # so MOD on F_i learns what kernel MOD learns on K_i and both pipelines
+    # code each test sample alike. Their residual energies differ by the
+    # mismatch term k(z, z) - ||f(z)||^2, the energy of phi(z) outside the
+    # span of the mapped training samples; it is shared by every class, so
+    # the argmin ignores it.
+    raw = {
+        "dataset": {"synthetic": "circles", "n_per_class": 100,
+                    "noise_sigma": 0.3, "seed": 3},
+        "kernel": kernel,
+        "sampler": {"method": "uniform", "c_fraction": 1.0},
+        "k": 200,
+        "pipeline": "lkdl",
+        "learner": {"m_per_class": 20, "q": q, "method": "mod"},
+    }
+    cfg = ExperimentConfig.from_dict(raw)
+    cfg_kb = ExperimentConfig.from_dict({**raw, "pipeline": "kernel_baseline"})
+    train, test = load_split(cfg)
+    seed = 11
+    _, F_train, F_test = experiment.preprocess(
+        cfg, train.samples, test.samples, seed
+    )
+    model = experiment.train_learner(cfg, F_train, train.labels, seed)
+    model_kb = experiment.train_learner(
+        cfg_kb, train.samples, train.labels, seed
+    )
+    pred = experiment.predict(model, F_test)
+    assert np.array_equal(pred, experiment.predict(model_kb, test.samples))
+    assert np.mean(pred == test.labels) >= 0.8
+
+    kzz = kernel_diagonal(cfg.kernel, test.samples)
+    mismatch = kzz - np.sum(F_test * F_test, axis=0)
+    res_kb = np.stack([
+        residual_energies(
+            (kernel_matrix(cfg.kernel, test.samples, X_i) @ A_i).T, M_i, kzz, q
+        )
+        for X_i, A_i, M_i in zip(
+            model_kb.class_samples, model_kb.coefficient_dicts,
+            model_kb.atom_grams,
+        )
+    ])
+    gap = res_kb - class_residuals(model, F_test) - mismatch
+    assert np.all(np.abs(gap) <= 1e-6 * kzz)
 
 
 @pytest.mark.parametrize("learner_type", ["lcksvd", "foo"])

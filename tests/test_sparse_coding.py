@@ -170,7 +170,9 @@ def test_omp_batch_matches_per_column():
         assert np.allclose(Gamma, ref, atol=1e-10)
         for i in range(11):
             code = omp(D, X[:, i], q)
-            assert np.allclose(Gamma[:, i], code.to_dense(9), atol=1e-10)
+            dense = np.zeros(9)
+            dense[code.support] = code.values
+            assert np.allclose(Gamma[:, i], dense, atol=1e-10)
 
 
 def test_omp_batch_empty_input():
@@ -242,7 +244,9 @@ def test_komp_batch_matches_scalar_komp():
     assert np.allclose(Gamma, ref, atol=1e-10)
     for i in range(6):
         code = komp(K, K_ZX[i], float(kzz[i]), A, q=2)
-        assert np.allclose(Gamma[:, i], code.to_dense(7), atol=1e-10)
+        dense = np.zeros(7)
+        dense[code.support] = code.values
+        assert np.allclose(Gamma[:, i], dense, atol=1e-10)
 
 
 def test_q1_fast_path_matches_generic_loop():
@@ -260,8 +264,9 @@ def test_q1_fast_path_matches_generic_loop():
 
 
 def test_residual_energies_match_explicit_residuals():
-    # least-squares codes: ||x||^2 - gamma^T G gamma is the residual energy,
-    # for OMP codes in the signal space and KOMP codes in feature space
+    # the energy the pursuit tracks, ||x||^2 - c_S^T gamma_S, is the
+    # residual energy of its least-squares codes, for OMP codes in the
+    # signal space and KOMP codes in feature space
     for seed in range(10):
         rng = np.random.default_rng(seed)
         q = int(rng.integers(1, 5))
@@ -272,7 +277,8 @@ def test_residual_energies_match_explicit_residuals():
         Gamma = omp_batch(D, X, q)
         norms2 = np.sum(X * X, axis=0)
         R = X - D @ Gamma
-        gap = residual_energies(Gamma, D.T @ D, norms2) - np.sum(R * R, axis=0)
+        energies = residual_energies(D.T @ X, D.T @ D, norms2, q)
+        gap = energies - np.sum(R * R, axis=0)
         assert np.all(np.abs(gap) <= 1e-12 * norms2)
 
         B = rng.standard_normal((6, 20))
@@ -287,7 +293,8 @@ def test_residual_energies_match_explicit_residuals():
         explicit = (kzz - 2.0 * np.sum((K_ZX @ A).T * Gamma, axis=0)
                     + np.sum(Gamma * (M @ Gamma), axis=0))
         np.testing.assert_allclose(
-            residual_energies(Gamma, M, kzz), np.maximum(explicit, 0.0),
+            residual_energies((K_ZX @ A).T, M, kzz, q),
+            np.maximum(explicit, 0.0),
             rtol=0.0, atol=1e-12,
         )
 
