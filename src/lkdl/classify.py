@@ -36,15 +36,21 @@ class ClassDictionaryModel:
 
 def fit_per_class(X: np.ndarray, labels: np.ndarray, seed: int, fit):
     """Split the columns of X by label; returns the sorted distinct labels
-    and ``fit(X_i, seed + i)`` for the i-th of them, in that order."""
+    and ``fit(X_i, seed + i)`` for the i-th of them, in that order. Each
+    warning a fit raises is re-issued with its class label in front."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     labels = np.ravel(np.asarray(labels))
     if labels.shape[0] != X.shape[1]:
         raise ValueError("label count does not match sample count")
     classes = np.unique(labels)
-    return classes, [
-        fit(X[:, labels == lab], seed + i) for i, lab in enumerate(classes)
-    ]
+    fits = []
+    for i, lab in enumerate(classes):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fits.append(fit(X[:, labels == lab], seed + i))
+        for w in caught:
+            warnings.warn(f"class {lab}: {w.message}", w.category, stacklevel=2)
+    return classes, fits
 
 
 def train_per_class(

@@ -179,7 +179,7 @@ def test_oversized_dictionary_warns():
 
 def test_oversized_class_warns_once():
     # classes of 3, 8 and 2 samples against 5 atoms: the two small classes
-    # are padded, and each says so exactly once
+    # are padded, and each says so exactly once, under its label
     rng = np.random.default_rng(4)
     X = rng.standard_normal((4, 13))
     y = np.repeat([1, 2, 3], [3, 8, 2])
@@ -187,5 +187,7 @@ def test_oversized_class_warns_once():
         warnings.simplefilter("always")
         train_per_class(X, y, m_per_class=5, q=1, iterations=1)
     messages = [str(w.message) for w in caught if w.category is UserWarning]
-    assert len(messages) == 2, messages
-    assert all("exceeds" in m for m in messages)
+    assert messages == [
+        "class 1: m=5 exceeds N=3; padding with random atoms",
+        "class 3: m=5 exceeds N=2; padding with random atoms",
+    ]

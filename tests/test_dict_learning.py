@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from lkdl import dict_learning
 from lkdl.datasets import synth_planted_sparse
 from lkdl.dict_learning import (
+    LearnReport,
+    _column_errors,
+    _kernel_column_errors,
     _pinv_cutoff,
     _top_singular_triplet,
     clear_coefficient_dictionary,
@@ -14,6 +18,7 @@ from lkdl.dict_learning import (
     mod_update,
     reconstruction_objective,
 )
+from lkdl.kernels import KernelSpec, kernel_matrix
 from lkdl.sparse_coding import komp_batch, omp_batch
 
 
@@ -386,13 +391,178 @@ def test_learn_objective_trace_non_increasing(method):
             assert b <= a * (1 + 1e-9) + 1e-9
 
 
+# Reference: the learning loop before it carried the error vector of its
+# current (atoms, Gamma), verbatim. Its ``clear(atoms, Gamma)`` formed the
+# errors itself, and the keep-better test formed the previous codes' errors
+# again.
+
+def _reference_alternate(atoms, iterations, code, errors, update, clear):
+    """Alternate sparse coding and dictionary updates in one inner-product
+    space, which supplies four steps:
+
+    * ``code(atoms)`` -> codes of all signals;
+    * ``errors(atoms, Gamma)`` -> per-signal squared residuals, whose sum
+      is the objective;
+    * ``update(atoms, Gamma)`` -> (atoms, Gamma, replaced atoms);
+    * ``clear(atoms, Gamma)`` -> (atoms, replaced atoms).
+
+    The first pass reuses the initial coding. Later passes clear degenerate
+    atoms first and fall back to the plain pass if that raised the
+    objective. Re-coding keeps the previous code of any signal it would
+    make worse, so the plain pass cannot increase the objective.
+    Returns (atoms, Gamma, LearnReport).
+    """
+    report = LearnReport(iterations=iterations)
+    Gamma = code(atoms)
+    obj = float(np.sum(errors(atoms, Gamma)))
+    report.objective_trace.append(obj)
+
+    def step(cur, G, Gamma_prev=None):
+        if Gamma_prev is not None:
+            worse = errors(cur, G) > errors(cur, Gamma_prev)
+            G[:, worse] = Gamma_prev[:, worse]
+        new, G, rep = update(cur, G)
+        return new, G, rep, float(np.sum(errors(new, G)))
+
+    for t in range(iterations):
+        if t == 0:
+            new, G_new, rep, obj_new = step(atoms, Gamma)
+        else:
+            cleared_atoms, cleared = clear(atoms, Gamma)
+            new, G_new, rep, obj_new = step(
+                cleared_atoms, code(cleared_atoms),
+                Gamma if cleared == 0 else None,
+            )
+            rep += cleared
+            if obj_new > obj * (1 + 1e-12) and cleared > 0:
+                new, G_new, rep, obj_new = step(atoms, code(atoms), Gamma)
+        if not np.isfinite(obj_new):
+            raise FloatingPointError("non-finite learning objective")
+        atoms, Gamma, obj = new, G_new, obj_new
+        report.replaced_atoms += rep
+        report.objective_trace.append(obj)
+    return atoms, Gamma, report
+
+
+def _reference_loop(atoms, iterations, code, errors, update, clear):
+    """The reference loop on the current steps: its ``clear`` forms the
+    errors it ranks signals by, as the old clearing functions did."""
+    return _reference_alternate(
+        atoms, iterations, code, errors, update,
+        lambda cur, G: clear(cur, G, errors(cur, G)),
+    )
+
+
+def _branch_run(learner, p, n, m, q, seed, monkeypatch):
+    """Run a learner for 4 passes on Gaussian signals through the current
+    loop, recording each pass's branch: "none" (no atom cleared), "kept"
+    (atoms cleared and the new pass kept) or "fallback" (atoms cleared and
+    the pass replaced by the plain one). Returns (run, result, branches)."""
+    X = np.random.default_rng(seed).standard_normal((p, n))
+    K = kernel_matrix(KernelSpec("gaussian", sigma=2.0), X, X)
+
+    def run():
+        if learner == "kernel":
+            return kernel_mod_learn(K, m, q, 4, seed=seed)
+        return learn(X, m, q, 4, method=learner, seed=seed)
+
+    events = []
+    loop = dict_learning._alternate
+
+    def recorded(atoms, iterations, code, errors, update, clear):
+        def rec_code(a):
+            events.append("code")
+            return code(a)
+
+        def rec_clear(*args):
+            out = clear(*args)
+            events.append(out[1])
+            return out
+
+        return loop(atoms, iterations, rec_code, errors, update, rec_clear)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(dict_learning, "_alternate", recorded)
+        result = run()
+    # events: the initial coding, then per later pass the cleared count, the
+    # new pass's coding and, on the fallback, the plain pass's coding
+    branches, i = set(), 1
+    while i < len(events):
+        cleared, i = events[i], i + 2
+        if i < len(events) and events[i] == "code":
+            branches.add("fallback")
+            i += 1
+        else:
+            branches.add("kept" if cleared else "none")
+    return run, result, branches
+
+
+# (learner, p, n, m, q, seed, branch): (8, 60, 12, 3, 0) never clears an
+# atom; (5, 30, 8, 2, 0) clears atoms and keeps every new pass; seed 9, and
+# seed 1 for the Gaussian-kernel learner, fall back after clearing at least
+# once
+_BRANCH_CASES = [
+    (learner, *case)
+    for learner, fallback_seed in (("ksvd", 9), ("mod", 9), ("kernel", 1))
+    for case in (
+        (8, 60, 12, 3, 0, "none"),
+        (5, 30, 8, 2, 0, "kept"),
+        (5, 30, 8, 2, fallback_seed, "fallback"),
+    )
+]
+
+
+@pytest.mark.parametrize("learner, p, n, m, q, seed, branch", _BRANCH_CASES)
+def test_learning_loop_matches_the_reference(
+    learner, p, n, m, q, seed, branch, monkeypatch
+):
+    run, (atoms, Gamma, report), branches = _branch_run(
+        learner, p, n, m, q, seed, monkeypatch
+    )
+    assert branch in branches
+    if branch == "none":
+        assert branches == {"none"}
+    with monkeypatch.context() as mp:
+        mp.setattr(dict_learning, "_alternate", _reference_loop)
+        atoms0, Gamma0, report0 = run()
+    assert np.array_equal(report.objective_trace, report0.objective_trace)
+    assert report.replaced_atoms == report0.replaced_atoms
+    assert np.array_equal(atoms, atoms0)
+    assert np.array_equal(Gamma, Gamma0)
+
+
+@pytest.mark.parametrize("learner, p, n, m, q, seed, branch", _BRANCH_CASES)
+def test_learning_loop_evaluates_each_error_vector_once(
+    learner, p, n, m, q, seed, branch, monkeypatch
+):
+    # every (atoms, codes) pair whose per-signal errors are formed, by
+    # content: the loop carries each error vector instead of forming it again
+    seen = []
+
+    def recording(errors_fn):
+        def wrapped(*args):
+            seen.append((args[-2].tobytes(), args[-1].tobytes()))
+            return errors_fn(*args)
+        return wrapped
+
+    for name in ("_column_errors", "_kernel_column_errors"):
+        monkeypatch.setattr(
+            dict_learning, name, recording(getattr(dict_learning, name))
+        )
+    _, _, branches = _branch_run(learner, p, n, m, q, seed, monkeypatch)
+    assert branch in branches
+    assert len(seen) >= 5
+    repeated = len(seen) - len(set(seen))
+    assert repeated == 0, f"{repeated} of {len(seen)} evaluations repeat a pair"
+
+
 def test_clear_dictionary_replaces_duplicates_and_unused():
     X = _rand(5, 30, seed=7)
     D = _rand(5, 6, seed=8)
     D /= np.linalg.norm(D, axis=0)
     D[:, 1] = D[:, 0]  # duplicate pair
     Gamma = omp_batch(D, X, 2)
-    D2, replaced = clear_dictionary(X, D, Gamma)
+    D2, replaced = clear_dictionary(X, D, Gamma, _column_errors(X, D, Gamma))
     assert replaced >= 1
     G = np.abs(D2.T @ D2)
     np.fill_diagonal(G, 0.0)
@@ -467,14 +637,19 @@ def test_clear_coefficient_dictionary_mirrors_linear_clearing():
     A = normalize_coefficient_dictionary(A, K)
     A[:, 2] = A[:, 1]  # duplicate feature atom
     Gamma = komp_batch(K, K, np.diag(K).copy(), A, 2)
-    A2, replaced = clear_coefficient_dictionary(K, np.diag(K).copy(), A, Gamma)
+    kdiag = np.diag(K).copy()
+    A2, replaced = clear_coefficient_dictionary(
+        K, kdiag, A, Gamma, _kernel_column_errors(K, kdiag, A, Gamma)
+    )
     assert replaced >= 1
     M = A2.T @ K @ A2
     off = np.abs(M - np.diag(np.diag(M)))
     assert off.max() <= 0.99 * np.sqrt(np.diag(M).max() * np.diag(M).min()) + 1e-9
     # with K = X^T X the feature-space atoms are the columns of D = X A, and
     # the linear clearing replaces the same atoms by the same signals
-    D2, replaced_lin = clear_dictionary(X, X @ A, Gamma)
+    D2, replaced_lin = clear_dictionary(
+        X, X @ A, Gamma, _column_errors(X, X @ A, Gamma)
+    )
     assert replaced_lin == replaced
     assert np.abs(X @ A2 - D2).max() <= 1e-12
 
