@@ -34,10 +34,10 @@ class ClassDictionaryModel:
         return len(self.dictionaries)
 
 
-def fit_per_class(X: np.ndarray, labels: np.ndarray, seed: int, fit):
+def fit_per_class(X: np.ndarray, labels: np.ndarray, m: int, seed: int, fit):
     """Split the columns of X by label; returns the sorted distinct labels
-    and ``fit(X_i, seed + i)`` for the i-th of them, in that order. Each
-    warning a fit raises is re-issued with its class label in front."""
+    and ``fit(X_i, min(m, n_i), seed + i)`` for the i-th of them, of n_i
+    samples, in that order: no class gets more atoms than samples."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     labels = np.ravel(np.asarray(labels))
     if labels.shape[0] != X.shape[1]:
@@ -45,11 +45,8 @@ def fit_per_class(X: np.ndarray, labels: np.ndarray, seed: int, fit):
     classes = np.unique(labels)
     fits = []
     for i, lab in enumerate(classes):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            fits.append(fit(X[:, labels == lab], seed + i))
-        for w in caught:
-            warnings.warn(f"class {lab}: {w.message}", w.category, stacklevel=2)
+        X_i = X[:, labels == lab]
+        fits.append(fit(X_i, min(m, X_i.shape[1]), seed + i))
     return classes, fits
 
 
@@ -62,13 +59,13 @@ def train_per_class(
     method: str = "ksvd",
     seed: int = 0,
 ) -> ClassDictionaryModel:
-    """Learn an independent dictionary on each class partition; a class
-    with fewer than ``m_per_class`` samples is padded as ``learn`` pads."""
-    def fit(F_i, s):
-        return learn(F_i, m_per_class, q, iterations, method=method, seed=s)[0]
+    """Learn an independent dictionary on each class partition, with
+    ``min(m_per_class, n_i)`` atoms for a class of n_i samples."""
+    def fit(F_i, m_i, s):
+        return learn(F_i, m_i, q, iterations, method=method, seed=s)[0]
 
-    classes, dictionaries = fit_per_class(F_train, labels, seed, fit)
-    return ClassDictionaryModel(labels=classes, dictionaries=dictionaries, q=q)
+    classes, dicts = fit_per_class(F_train, labels, m_per_class, seed, fit)
+    return ClassDictionaryModel(labels=classes, dictionaries=dicts, q=q)
 
 
 def class_residuals(model: ClassDictionaryModel, F: np.ndarray) -> np.ndarray:

@@ -12,7 +12,6 @@ inner-product space given by K.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -43,24 +42,27 @@ def reconstruction_objective(X, D, Gamma) -> float:
     return float(np.sum(R * R))
 
 
+def _check_atom_count(m: int, n: int) -> None:
+    """Refuse more atoms than training samples: every learner starts each
+    atom from a distinct sample, so no class has more atoms than samples."""
+    if m > n:
+        raise ValueError(f"m={m} atoms exceed N={n} training samples")
+
+
 def init_dictionary_from_columns(
     X: np.ndarray, m: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Initial dictionary: a random subset of m columns of X, unit-normalized.
-    When m > N the extra atoms are random unit vectors."""
+    """Initial dictionary: a random subset of m distinct columns of X,
+    unit-normalized; m > N is refused. A zero column drawn gives a zero
+    atom, which the atom clearing replaces, as in ``kernel_mod_learn``."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    p, n = X.shape
-    if m <= n:
-        idx = rng.choice(n, size=m, replace=False)
-        D = X[:, idx].astype(np.float64).copy()
-    else:
-        warnings.warn(f"m={m} exceeds N={n}; padding with random atoms")
-        idx = rng.permutation(n)
-        D = np.concatenate([X[:, idx], rng.standard_normal((p, m - n))], axis=1)
+    n = X.shape[1]
+    _check_atom_count(m, n)
+    # take gives a C-ordered D (X[:, idx] is F-ordered); BLAS products
+    # round differently on the two layouts
+    D = X.take(rng.choice(n, size=m, replace=False), axis=1)
     norms = np.linalg.norm(D, axis=0)
-    if np.any(norms == 0):
-        raise ValueError("cannot initialize atoms from zero columns")
-    return D / norms
+    return D / np.where(norms > 0, norms, 1.0)
 
 
 def _pinv_cutoff(G: np.ndarray):
@@ -307,10 +309,12 @@ def learn(
     """Alternate batch OMP coding and the chosen dictionary update.
 
     ``init`` may be a provided p x m dictionary; otherwise atoms start from
-    a random subset of data columns. Returns (D, Gamma, LearnReport).
+    a random subset of data columns. Either way m > N is refused. Returns
+    (D, Gamma, LearnReport).
     """
     check_update_method(method)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    _check_atom_count(m, X.shape[1])
     if init is None:
         D = init_dictionary_from_columns(
             X, m, np.random.Generator(np.random.PCG64(seed))
@@ -393,10 +397,10 @@ def kernel_mod_learn(
     A = Gamma^+; atoms are renormalized to unit feature-space norm after
     each update (matching row rescale preserves A Gamma).
 
-    ``K_XX`` is the train-set kernel matrix. The coefficient dictionary is
-    initialized from m random identity columns (atoms are mapped training
-    samples). The alternation is the one ``learn`` runs, in the space given
-    by K, so with a linear kernel the two produce the same objective
+    ``K_XX`` is the train-set kernel matrix. Atoms start from m distinct
+    mapped training samples (identity columns of A) and follow ``learn``'s
+    rules and alternation in the space given by K, so on samples F with
+    F^T F = K (X itself when K = X^T X) the two give the same objective
     sequence. Returns (A, Gamma, LearnReport).
     """
     K = np.asarray(K_XX, dtype=np.float64)
@@ -404,8 +408,7 @@ def kernel_mod_learn(
     if K.shape[0] != K.shape[1]:
         raise ValueError("kernel matrix must be square")
     rng = np.random.Generator(np.random.PCG64(seed))
-    if m > n:
-        raise ValueError(f"m={m} atoms exceed N={n} training samples")
+    _check_atom_count(m, n)
     idx = rng.choice(n, size=m, replace=False)
     A = np.zeros((n, m))
     A[idx, np.arange(m)] = 1.0

@@ -62,6 +62,14 @@ LEARNER_DEFAULTS = {
 }
 
 
+def _check_keys(section: str, given: dict, known) -> None:
+    """Refuse a key of a config section that no run reads."""
+    unknown = [key for key in given if key not in known]
+    if unknown:
+        raise ValueError(f"unknown {section} key {unknown[0]!r}; known "
+                         f"keys: {', '.join(known)}")
+
+
 @dataclass
 class ExperimentConfig:
     dataset: dict
@@ -82,6 +90,7 @@ class ExperimentConfig:
         raw = dict(raw)
         kernel = KernelSpec(**raw.pop("kernel", {}))
         sampler = raw.pop("sampler", {})
+        _check_keys("sampler", sampler, ("method", "c", "c_fraction"))
         cfg = cls(
             dataset=raw.pop("dataset"),
             kernel=kernel,
@@ -90,6 +99,7 @@ class ExperimentConfig:
             c_fraction=sampler.get("c_fraction"),
             **raw,
         )
+        _check_keys("learner", cfg.learner, LEARNER_DEFAULTS)
         if cfg.pipeline not in ("linear", "lkdl", "kernel_baseline"):
             raise ValueError(f"unknown pipeline: {cfg.pipeline!r}")
         if cfg.repeats < 1:
@@ -218,16 +228,14 @@ def kernel_baseline_train(
     iterations: int,
     seed: int,
 ) -> KernelBaselineModel:
-    """Kernel MOD on each class's kernel matrix K_i, with at most one atom
-    per class sample (``min(m_per_class, n_i)``)."""
-    def fit(X_i, s):
+    """Kernel MOD on each class's kernel matrix K_i, with
+    ``min(m_per_class, n_i)`` atoms for a class of n_i samples."""
+    def fit(X_i, m_i, s):
         K_i = kernel_matrix(kernel, X_i, X_i)
-        A_i, _, _ = kernel_mod_learn(
-            K_i, min(m_per_class, X_i.shape[1]), q, iterations, seed=s
-        )
+        A_i, _, _ = kernel_mod_learn(K_i, m_i, q, iterations, seed=s)
         return X_i, A_i, A_i.T @ (K_i @ A_i)
 
-    classes, fits = fit_per_class(X_train, labels, seed, fit)
+    classes, fits = fit_per_class(X_train, labels, m_per_class, seed, fit)
     samples, dicts, grams = map(list, zip(*fits))
     return KernelBaselineModel(
         labels=classes, class_samples=samples, coefficient_dicts=dicts,
@@ -399,7 +407,7 @@ def write_manifest(config: ExperimentConfig, path, extra: dict | None = None) ->
     from . import __version__
 
     payload = {
-        "config": _jsonable(vars(config)),
+        "config": asdict(config),
         "rng": RNG_NAME,
         "library_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -408,16 +416,6 @@ def write_manifest(config: ExperimentConfig, path, extra: dict | None = None) ->
         payload.update(extra)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _jsonable(obj):
-    if isinstance(obj, KernelSpec):
-        return asdict(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer, np.floating)):
-        return obj.item()
-    return obj
+    # numpy scalars in the config are written as the Python numbers they hold
+    text = json.dumps(payload, indent=2, sort_keys=True, default=np.generic.item)
+    path.write_text(text + "\n")

@@ -11,6 +11,7 @@ from lkdl.classify import (
     train_per_class,
 )
 from lkdl.datasets import split_per_class, synth_circles
+from lkdl.experiment import kernel_baseline_train
 from lkdl.kernels import KernelSpec
 from lkdl.nystrom import fit, transform
 from lkdl.sampling import SamplerSpec
@@ -171,23 +172,18 @@ def test_label_count_mismatch_rejected():
         train_per_class(np.ones((3, 4)), np.array([1, 2]), 2, 1, 1)
 
 
-def test_oversized_dictionary_warns():
-    X, y = _two_subspace_data(seed=9, n=3)
-    with pytest.warns(UserWarning, match="exceeds"):
-        train_per_class(X, y, m_per_class=5, q=1, iterations=1)
-
-
-def test_oversized_class_warns_once():
-    # classes of 3, 8 and 2 samples against 5 atoms: the two small classes
-    # are padded, and each says so exactly once, under its label
+def test_small_classes_learn_one_atom_per_sample():
+    # classes of 3, 8 and 2 samples against 5 atoms: both pipelines give
+    # each class min(5, n_i) atoms, and neither warns
     rng = np.random.default_rng(4)
     X = rng.standard_normal((4, 13))
     y = np.repeat([1, 2, 3], [3, 8, 2])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        train_per_class(X, y, m_per_class=5, q=1, iterations=1)
-    messages = [str(w.message) for w in caught if w.category is UserWarning]
-    assert messages == [
-        "class 1: m=5 exceeds N=3; padding with random atoms",
-        "class 3: m=5 exceeds N=2; padding with random atoms",
-    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = train_per_class(X, y, m_per_class=5, q=1, iterations=3)
+        baseline = kernel_baseline_train(
+            X, y, KernelSpec(kind="gaussian", sigma=1.0), 5, 1, 3, seed=0
+        )
+    assert [D.shape[1] for D in model.dictionaries] == [3, 5, 2]
+    assert [A.shape[1] for A in baseline.coefficient_dicts] == [3, 5, 2]
+    assert classify_batch(model, X).shape == y.shape

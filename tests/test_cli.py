@@ -150,6 +150,15 @@ def test_train_refuses_unknown_learner_type(mixture_config, tmp_path):
     assert not list(tmp_path.rglob("*.lkdl"))
 
 
+def test_experiment_refuses_misspelled_learner_key(mixture_config, tmp_path):
+    # a misspelled key must not run with the default it meant to override
+    out = tmp_path / "exp_dir"
+    with pytest.raises(ValueError, match="unknown learner key 'iteration'"):
+        main(["experiment", "--config", str(mixture_config), "--out", str(out),
+              "--set", "learner.iteration=3"])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method", ["ksvd", "mod"])
 @pytest.mark.parametrize("learner, column", [
     ("per_class", "residual"),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lkdl import dict_learning
-from lkdl.datasets import synth_planted_sparse
+from lkdl.datasets import synth_circles, synth_planted_sparse
 from lkdl.dict_learning import (
     LearnReport,
     _column_errors,
@@ -19,6 +19,7 @@ from lkdl.dict_learning import (
     reconstruction_objective,
 )
 from lkdl.kernels import KernelSpec, kernel_matrix
+from lkdl.nystrom import exact_virtual_samples
 from lkdl.sparse_coding import komp_batch, omp_batch
 
 
@@ -574,12 +575,18 @@ def test_clear_dictionary_replaces_duplicates_and_unused():
 
 def test_kernel_learn_matches_linear_on_planted_data():
     # kernel learning is the linear alternation in the space K = X^T X:
-    # every objective of the trace and the replaced-atom count agree
+    # every objective of the trace and the replaced-atom count agree. In
+    # the third set every 7th column is zero; the initial draw takes zero
+    # columns, which both learners keep as zero atoms for the clearing
     replaced = 0
-    for n, data_seed, seed in ((150, 3, 4), (180, 0, 1)):
+    for n, data_seed, seed, zero_every in (
+        (150, 3, 4, 0), (180, 0, 1, 0), (150, 3, 4, 7)
+    ):
         ds, _, _ = synth_planted_sparse(12, n, 10, 2, seed=data_seed,
                                         max_coherence=0.6)
         X = ds.samples
+        if zero_every:
+            X[:, ::zero_every] = 0.0
         _, _, rep_lin = learn(X, 10, 2, 6, method="mod", seed=seed)
         _, _, rep_ker = kernel_mod_learn(X.T @ X, 10, 2, 6, seed=seed)
         assert rep_ker.objective_trace == pytest.approx(
@@ -588,6 +595,33 @@ def test_kernel_learn_matches_linear_on_planted_data():
         assert rep_ker.replaced_atoms == rep_lin.replaced_atoms
         replaced += rep_lin.replaced_atoms
     assert replaced > 0  # the clearing step took part
+
+
+@pytest.mark.filterwarnings("ignore:.*exceeds numerical rank")
+@pytest.mark.parametrize("kernel, rel", [
+    (KernelSpec(kind="polynomial", degree=2, coef0=1.0), 1e-10),
+    (KernelSpec(kind="gaussian", sigma=1.0), 1e-6),
+])
+def test_kernel_learn_matches_linear_on_exact_virtual_samples(kernel, rel):
+    # the paper's identity at a non-linear kernel: on each class's exact
+    # virtual samples F_i (every sample a landmark, k its numerical rank),
+    # F_i^T F_i = K_i, so linear MOD on F_i is kernel MOD on K_i. The
+    # polynomial K_i has rank 6 and is reproduced to rounding; the rank
+    # cutoff keeps 47 and 77 of the 150 Gaussian pairs. Largest relative
+    # trace gaps, here and over seeds 0-39: 3.5e-13 and 5.9e-12
+    # (polynomial), 1.9e-8 and 2.4e-8 (Gaussian)
+    ds = synth_circles(150, seed=0)
+    for label in (1, 2):
+        X = ds.samples[:, ds.labels == label]
+        K = kernel_matrix(kernel, X, X)
+        F = exact_virtual_samples(K, X.shape[1])
+        for q in (1, 3):
+            _, _, rep_lin = learn(F, 20, q, 5, method="mod", seed=q)
+            _, _, rep_ker = kernel_mod_learn(K, 20, q, 5, seed=q)
+            assert rep_ker.objective_trace == pytest.approx(
+                rep_lin.objective_trace, rel=rel
+            )
+            assert rep_ker.replaced_atoms == rep_lin.replaced_atoms
 
 
 def test_kernel_learn_zero_iterations_objective_formula():
@@ -668,6 +702,16 @@ def test_learn_rejects_unknown_method():
 
 
 def test_kernel_learn_rejects_too_many_atoms():
+    # no learner keeps more atoms than training samples: the linear learner
+    # refuses with the kernel learner's message, whether or not init is given
     X = _rand(3, 5)
-    with pytest.raises(ValueError):
-        kernel_mod_learn(X.T @ X, 6, 1, 2)
+    messages = []
+    for call in (
+        lambda: kernel_mod_learn(X.T @ X, 6, 1, 2),
+        lambda: learn(X, 6, 1, 2),
+        lambda: learn(X, 6, 1, 2, init=_rand(3, 6)),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        messages.append(str(excinfo.value))
+    assert messages == ["m=6 atoms exceed N=5 training samples"] * 3

@@ -55,6 +55,15 @@ def test_config_validation():
         _mixture_config(repeats=0)
     with pytest.raises(ValueError, match="c_fraction"):
         _mixture_config(sampler={"method": "uniform", "c_fraction": 1.5})
+    # misspelled keys would otherwise fall back to the defaults: every
+    # sample a landmark, or the default learner settings
+    with pytest.raises(
+        ValueError,
+        match="unknown sampler key 'c_frac'; known keys: method, c, c_fraction",
+    ):
+        _mixture_config(sampler={"method": "uniform", "c_frac": 0.3})
+    with pytest.raises(ValueError, match="unknown learner key 'iteration'"):
+        _mixture_config(learner={"iteration": 2, "m_per_clas": 6})
 
 
 def test_load_split_normalize_gives_unit_columns():
@@ -143,8 +152,8 @@ def test_kernel_baseline_train_checks_label_count():
 
 
 def test_kernel_baseline_learns_at_most_one_atom_per_sample():
-    # unlike train_per_class, which warns and pads, the exact-kernel
-    # baseline silently learns min(m_per_class, n_i) atoms per class
+    # the exact-kernel baseline learns min(m_per_class, n_i) atoms per
+    # class, silently, as train_per_class does
     rng = np.random.default_rng(0)
     X = rng.standard_normal((3, 12))
     labels = np.array([1] * 5 + [2] * 7)
@@ -343,6 +352,12 @@ def test_write_csv_and_manifest(tmp_path):
     assert payload["stage"] == "test"
     assert payload["config"]["kernel"]["kind"] == "gaussian"
     assert "library_version" in payload and "timestamp" in payload
+    # numpy scalars and tuples in the config are written as plain JSON
+    cfg.k = np.int64(8)
+    cfg.dataset = {**cfg.dataset, "radii": (1.0, 2.5)}
+    write_manifest(cfg, manifest_path)
+    config = json.loads(manifest_path.read_text())["config"]
+    assert config["k"] == 8 and config["dataset"]["radii"] == [1.0, 2.5]
 
 
 def test_corruption_config_dispatch():
