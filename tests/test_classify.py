@@ -13,6 +13,7 @@ from lkdl.classify import (
 from lkdl.datasets import split_per_class, synth_circles
 from lkdl.experiment import kernel_baseline_train
 from lkdl.kernels import KernelSpec
+from lkdl.lcksvd import train as lcksvd_train
 from lkdl.nystrom import fit, transform
 from lkdl.sampling import SamplerSpec
 
@@ -172,9 +173,19 @@ def test_label_count_mismatch_rejected():
         train_per_class(np.ones((3, 4)), np.array([1, 2]), 2, 1, 1)
 
 
-def test_small_classes_learn_one_atom_per_sample():
-    # classes of 3, 8 and 2 samples against 5 atoms: both pipelines give
-    # each class min(5, n_i) atoms, and neither warns
+def test_oversized_dictionary_warns():
+    # a dictionary larger than its training set was once padded with random
+    # atoms under a warning; now it is refused with the kernel learner's
+    # message, also by LC-KSVD, whose one dictionary spans every class
+    X, y = _two_subspace_data(seed=9, n=3)
+    with pytest.raises(ValueError, match="^m=8 atoms exceed N=6 training"):
+        lcksvd_train(X, y, m=8, q=1, alpha=1.0, beta=1.0, iterations=1)
+
+
+def test_oversized_class_warns_once():
+    # classes of 3, 8 and 2 samples against 5 atoms were once padded, with
+    # one warning per padded class; now both pipelines give each class
+    # min(5, n_i) atoms, and nothing warns
     rng = np.random.default_rng(4)
     X = rng.standard_normal((4, 13))
     y = np.repeat([1, 2, 3], [3, 8, 2])
