@@ -320,7 +320,8 @@ def learn(
             X, m, np.random.Generator(np.random.PCG64(seed))
         )
     else:
-        D = np.array(init, dtype=np.float64)
+        # C order whatever init's: BLAS rounds an F-ordered D differently
+        D = np.array(init, dtype=np.float64, order="C")
         if D.shape != (X.shape[0], m):
             raise ValueError("provided initial dictionary has wrong shape")
 

@@ -11,7 +11,8 @@ map to a feature representation, ``train_learner``, ``predict``, evaluate):
                         through the loop ``train_per_class`` uses
                         (``classify.fit_per_class``). The model keeps A_i
                         and M_i = A_i^T K_i A_i, not K_i; test samples Z
-                        are KOMP-coded from K(Z, X_i) A_i and M_i.
+                        are KOMP-coded from K(Z, X_i) A_i and M_i, a
+                        block of test columns at a time.
 
 Repeats derive per-run seeds from the master seed via numpy SeedSequence
 (PCG64 streams), so runs are independent but reproducible.
@@ -40,7 +41,7 @@ from . import datasets as _datasets
 from . import lcksvd as _lcksvd
 from . import nystrom as _nystrom
 from .dict_learning import check_update_method, kernel_mod_learn
-from .kernels import KernelSpec, kernel_diagonal, kernel_matrix
+from .kernels import _BLOCK, KernelSpec, kernel_diagonal, kernel_matrix
 from .sampling import SamplerSpec
 # ``komp`` is re-exported: code that looks up ``experiment.komp``, such as
 # the benchmark's tracer, keeps working
@@ -60,6 +61,15 @@ LEARNER_DEFAULTS = {
     "type": "per_class", "m_per_class": 50, "m": 60, "q": 5, "iterations": 5,
     "method": "ksvd", "alpha": 1.0, "beta": 1.0, "variant": 2, "tau2": 1e-4,
 }
+
+
+#: Keys of the ``dataset`` and ``corruption`` sections that ``load_split``
+#: and ``apply_corruption`` read.
+DATASET_KEYS = (
+    "synthetic", "n_per_class", "n_classes", "p", "radii", "noise_sigma",
+    "seed", "train", "test", "normalize", "train_fraction",
+)
+CORRUPTION_KEYS = ("gaussian_sigma", "missing_fraction", "renormalize")
 
 
 def _check_keys(section: str, given: dict, known) -> None:
@@ -99,6 +109,8 @@ class ExperimentConfig:
             c_fraction=sampler.get("c_fraction"),
             **raw,
         )
+        _check_keys("dataset", cfg.dataset, DATASET_KEYS)
+        _check_keys("corruption", cfg.corruption, CORRUPTION_KEYS)
         _check_keys("learner", cfg.learner, LEARNER_DEFAULTS)
         if cfg.pipeline not in ("linear", "lkdl", "kernel_baseline"):
             raise ValueError(f"unknown pipeline: {cfg.pipeline!r}")
@@ -247,14 +259,18 @@ def kernel_baseline_classify(
     model: KernelBaselineModel, X_test: np.ndarray
 ) -> np.ndarray:
     """Label of the class whose KOMP code leaves the least residual energy
-    in feature space, per column of X_test."""
+    in feature space, per column of X_test. Test columns are coded _BLOCK
+    at a time, so each class holds one _BLOCK x n_i block of K(Z, X_i),
+    never the whole N_test x n_i matrix."""
     kzz = kernel_diagonal(model.kernel, X_test)
-    res = []
-    for X_i, A_i, M_i in zip(
-        model.class_samples, model.coefficient_dicts, model.atom_grams
-    ):
-        KA = kernel_matrix(model.kernel, X_test, X_i) @ A_i
-        res.append(residual_energies(KA.T, M_i, kzz, model.q))
+    res = np.empty((len(model.labels), kzz.size))
+    for start in range(0, kzz.size, _BLOCK):
+        cols = slice(start, start + _BLOCK)
+        for r, X_i, A_i, M_i in zip(
+            res, model.class_samples, model.coefficient_dicts, model.atom_grams
+        ):
+            KA = kernel_matrix(model.kernel, X_test[:, cols], X_i) @ A_i
+            r[cols] = residual_energies(KA.T, M_i, kzz[cols], model.q)
     return model.labels[np.argmin(res, axis=0)]
 
 

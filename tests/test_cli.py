@@ -159,6 +159,15 @@ def test_experiment_refuses_misspelled_learner_key(mixture_config, tmp_path):
     assert not out.exists()
 
 
+def test_experiment_refuses_misspelled_dataset_key(mixture_config, tmp_path):
+    # a misspelled key must not load the default 500 samples per class
+    out = tmp_path / "exp_dir"
+    with pytest.raises(ValueError, match="unknown dataset key 'n_per_clas'"):
+        main(["experiment", "--config", str(mixture_config), "--out", str(out),
+              "--set", "dataset.n_per_clas=10"])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method", ["ksvd", "mod"])
 @pytest.mark.parametrize("learner, column", [
     ("per_class", "residual"),

@@ -392,6 +392,23 @@ def test_learn_objective_trace_non_increasing(method):
             assert b <= a * (1 + 1e-9) + 1e-9
 
 
+@pytest.mark.parametrize("method", ["mod", "ksvd"])
+def test_learn_result_does_not_depend_on_init_memory_order(method):
+    # an F-ordered init, such as a column draw X[:, idx], holds the same
+    # values as its C-ordered copy and must learn the same dictionary
+    for seed in range(3):
+        X = _rand(24, 300, seed=seed)
+        idx = np.random.default_rng(seed).choice(300, 40, replace=False)
+        D0 = X[:, idx] / np.linalg.norm(X[:, idx], axis=0)
+        runs = [
+            learn(X, 40, 3, 5, method=method, init=init, seed=seed)
+            for init in (np.ascontiguousarray(D0), np.asfortranarray(D0))
+        ]
+        (D_c, G_c, rep_c), (D_f, G_f, rep_f) = runs
+        assert rep_c.objective_trace == rep_f.objective_trace
+        assert np.array_equal(D_c, D_f) and np.array_equal(G_c, G_f)
+
+
 # Reference: the learning loop before it carried the error vector of its
 # current (atoms, Gamma), verbatim. Its ``clear(atoms, Gamma)`` formed the
 # errors itself, and the keep-better test formed the previous codes' errors

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from lkdl.experiment import (
     write_manifest,
 )
 from lkdl.classify import class_residuals
-from lkdl.kernels import KernelSpec, kernel_diagonal, kernel_matrix
+from lkdl.kernels import _BLOCK, KernelSpec, kernel_diagonal, kernel_matrix
 from lkdl.sparse_coding import komp_batch, residual_energies
 
 
@@ -64,6 +65,12 @@ def test_config_validation():
         _mixture_config(sampler={"method": "uniform", "c_frac": 0.3})
     with pytest.raises(ValueError, match="unknown learner key 'iteration'"):
         _mixture_config(learner={"iteration": 2, "m_per_clas": 6})
+    dataset = {"synthetic": "gaussian_mixture", "n_per_clas": 10, "seed": 1}
+    with pytest.raises(ValueError, match="unknown dataset key 'n_per_clas'"):
+        _mixture_config(dataset=dataset)
+    corruption = {"gaussian_sigma": 0.1, "renormalise": True}
+    with pytest.raises(ValueError, match="unknown corruption key 'renormalise'"):
+        _mixture_config(corruption=corruption)
 
 
 def test_load_split_normalize_gives_unit_columns():
@@ -191,18 +198,41 @@ def _reference_kernel_baseline_classify(model, X_test):
 
 @pytest.mark.parametrize("q", [1, 3])
 def test_kernel_baseline_classify_matches_reference(q):
-    cfg = _mixture_config(dataset={
-        "synthetic": "gaussian_mixture", "n_per_class": 60, "n_classes": 3,
-        "p": 5, "seed": 2,
-    })
-    train, test = load_split(cfg)
+    # 180 test columns fit in one block; 600 are classified in two
+    for n_per_class in (60, 200):
+        cfg = _mixture_config(dataset={
+            "synthetic": "gaussian_mixture", "n_per_class": n_per_class,
+            "n_classes": 3, "p": 5, "seed": 2,
+        })
+        train, test = load_split(cfg)
+        model = kernel_baseline_train(
+            train.samples, train.labels, cfg.kernel, 12, q, 3, seed=5
+        )
+        assert np.array_equal(
+            kernel_baseline_classify(model, test.samples),
+            _reference_kernel_baseline_classify(model, test.samples),
+        )
+    assert test.n > _BLOCK
+
+
+def test_kernel_baseline_classify_holds_no_whole_test_kernel_block():
+    # 20000 test columns against classes of 300: one whole K(Z, X_i) would
+    # take 48 MB
+    rng = np.random.default_rng(6)
+    X_train = rng.standard_normal((3, 600))
+    labels = np.repeat([0, 1], 300)
     model = kernel_baseline_train(
-        train.samples, train.labels, cfg.kernel, 12, q, 3, seed=5
+        X_train, labels, KernelSpec(kind="gaussian", sigma=1.0), 10, 2, 1,
+        seed=0,
     )
-    assert np.array_equal(
-        kernel_baseline_classify(model, test.samples),
-        _reference_kernel_baseline_classify(model, test.samples),
-    )
+    Z = rng.standard_normal((3, 20_000))
+    tracemalloc.start()
+    try:
+        kernel_baseline_classify(model, Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.filterwarnings("ignore:.*exceeds numerical rank")
