@@ -17,7 +17,9 @@ per-class learning and classification. A ``kernel_baseline`` cell times
 alternate in order from one repeat to the next, so a drift in the
 machine's speed falls on both. Each row holds the median over the repeats, every sample, the
 accuracy and the cell's peak RSS; the file also records each tree's
-environment as perfbench records it (threads, BLAS, versions, git SHA).
+environment as perfbench records it (threads, BLAS, versions, git SHA)
+and a SHA-256 over its ``src/lkdl/*.py``, which tells apart trees that
+share a commit but not their working files.
 
 The inputs, the kernel and the learner settings are perfbench's ``lkdl_q3``
 workload (c/N = 0.2, k = 24, q = 3) with N set per row, data seed 1 and run
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import resource
 import statistics
@@ -58,6 +61,15 @@ def workload(bench, n_train: int):
     return dataclasses.replace(
         bench.WORKLOADS[WORKLOAD], n_per_class=n_train // bench.N_CLASSES
     )
+
+
+def source_digest(tree: Path) -> str:
+    """SHA-256 over the ``sha256sum`` lines of the tree's src/lkdl/*.py."""
+    lines = "".join(
+        f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
+        for path in sorted((tree / "src" / "lkdl").glob("*.py"))
+    )
+    return hashlib.sha256(lines.encode()).hexdigest()
 
 
 def run_cell(pipeline: str, n: int) -> dict:
@@ -187,7 +199,9 @@ def main(argv=None) -> int:
                    "kernel": dataclasses.asdict(bench.KERNEL),
                    "c_over_N": w.c_fraction, "k": w.k, **w.learner,
                    "data_seed": DATA_SEED, "run_seed": RUN_SEED},
-        "trees": {label: bench.environment(path) for label, path in trees.items()},
+        "trees": {label: {**bench.environment(path),
+                          "src_sha256": source_digest(path)}
+                  for label, path in trees.items()},
         "rows": rows,
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")

@@ -37,14 +37,11 @@ class LearnReport:
     replaced_atoms: int = 0
 
 
-def reconstruction_objective(X, D, Gamma) -> float:
-    R = X - D @ Gamma
-    return float(np.sum(R * R))
-
-
 def _check_atom_count(m: int, n: int) -> None:
-    """Refuse more atoms than training samples: every learner starts each
-    atom from a distinct sample, so no class has more atoms than samples."""
+    """Refuse m outside [1, N]: every learner starts each atom from a
+    distinct sample, so no class has more atoms than samples."""
+    if m < 1:
+        raise ValueError(f"m={m} atoms: a dictionary needs at least one")
     if m > n:
         raise ValueError(f"m={m} atoms exceed N={n} training samples")
 
@@ -53,8 +50,9 @@ def init_dictionary_from_columns(
     X: np.ndarray, m: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Initial dictionary: a random subset of m distinct columns of X,
-    unit-normalized; m > N is refused. A zero column drawn gives a zero
-    atom, which the atom clearing replaces, as in ``kernel_mod_learn``."""
+    unit-normalized; m outside [1, N] is refused. A zero column drawn gives
+    a zero atom, which the atom clearing replaces, as in
+    ``kernel_mod_learn``."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     n = X.shape[1]
     _check_atom_count(m, n)
@@ -67,15 +65,12 @@ def init_dictionary_from_columns(
 
 def _pinv_cutoff(G: np.ndarray):
     """Moore-Penrose pseudo-inverse with the PINV_RTOL singular-value
-    cutoff, computed through the smaller Gram factor (eigh on an m x m
-    matrix instead of a full SVD of the m x N one). Returns
-    (pinv, degenerate) where ``degenerate`` reports that the cutoff
+    cutoff of a code matrix (m <= N), computed through the smaller Gram
+    factor (eigh on an m x m matrix instead of a full SVD of the m x N one).
+    Returns (pinv, degenerate) where ``degenerate`` reports that the cutoff
     discarded at least one direction."""
     G = np.atleast_2d(np.asarray(G, dtype=np.float64))
     m, n = G.shape
-    if m > n:
-        P, degenerate = _pinv_cutoff(G.T)
-        return P.T, degenerate
     nz = np.any(G != 0.0, axis=1)
     Gs = G[nz]
     r = Gs.shape[0]
@@ -255,9 +250,11 @@ def _alternate(atoms, iterations, code, errors, update, clear):
     make worse, so the plain pass cannot increase the objective. The errors
     ``err`` of the current (atoms, Gamma) are formed once and serve the
     objective, ``clear`` and that test: a pass evaluates ``errors`` twice,
-    and a kernel pass forms 6 products K A instead of 8. Returns (atoms,
-    Gamma, LearnReport).
+    and a kernel pass forms 6 products K A instead of 8. A negative
+    ``iterations`` is refused. Returns (atoms, Gamma, LearnReport).
     """
+    if iterations < 0:
+        raise ValueError(f"iterations={iterations} must be >= 0")
     report = LearnReport(iterations=iterations)
     Gamma = code(atoms)
     err = errors(atoms, Gamma)
@@ -309,8 +306,8 @@ def learn(
     """Alternate batch OMP coding and the chosen dictionary update.
 
     ``init`` may be a provided p x m dictionary; otherwise atoms start from
-    a random subset of data columns. Either way m > N is refused. Returns
-    (D, Gamma, LearnReport).
+    a random subset of data columns. Either way m outside [1, N], q < 1 and
+    iterations < 0 are refused. Returns (D, Gamma, LearnReport).
     """
     check_update_method(method)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -337,17 +334,6 @@ def learn(
         errors=partial(_column_errors, X),
         update=update,
         clear=partial(clear_dictionary, X),
-    )
-
-
-def kernel_objective(K: np.ndarray, A: np.ndarray, Gamma: np.ndarray) -> float:
-    """Feature-space reconstruction objective expanded through kernel values:
-    tr(K) - 2 tr(K A Gamma) + tr(Gamma^T A^T K A Gamma)."""
-    KA = K @ A
-    return float(
-        np.trace(K)
-        - 2.0 * np.sum(KA * Gamma.T)
-        + np.sum((A.T @ KA) @ Gamma * Gamma)
     )
 
 
@@ -413,14 +399,12 @@ def kernel_mod_learn(
     idx = rng.choice(n, size=m, replace=False)
     A = np.zeros((n, m))
     A[idx, np.arange(m)] = 1.0
-    A = normalize_coefficient_dictionary(A, K)
+    A, _ = normalize_coefficient_dictionary(A, K)
     kdiag = np.diag(K).copy()
 
     def update(A_cur, G):
-        A_new, _ = _pinv_cutoff(G)
-        norms = np.sqrt(np.maximum(np.einsum("ij,ij->j", A_new, K @ A_new), 0.0))
-        scale = np.where(norms > 0, norms, 1.0)
-        return A_new / scale, G * scale[:, None], 0
+        A_new, scale = normalize_coefficient_dictionary(_pinv_cutoff(G)[0], K)
+        return A_new, G * scale[:, None], 0
 
     return _alternate(
         A, iterations,

@@ -47,6 +47,7 @@ def _batch_pursuit(
     product and ``norms2`` the n squared signal norms. Each step adds one
     atom to every active column and extends that column's Cholesky factor
     of its support Gram by one row, so the Python loop runs min(q, m) times.
+    A cardinality q < 1 is refused.
 
     A column stops when its residual energy drops to zero, when its best
     correlation is exactly 0 after the first atom, or when the new pivot
@@ -57,8 +58,10 @@ def _batch_pursuit(
     i's atoms in selection order and their coefficients in its first
     ``size[i]`` entries, its residual energy and its degeneracy flag.
     """
+    if q < 1:
+        raise ValueError("cardinality q must be >= 1")
     m, n = C0.shape
-    smax = max(min(q, m), 0)
+    smax = min(q, m)
     support = np.zeros((n, smax), dtype=np.int64)
     values = np.zeros((n, smax))
     size = np.zeros(n, dtype=np.int64)
@@ -158,8 +161,6 @@ def omp(D: np.ndarray, x: np.ndarray, q: int) -> SparseCode:
     """Orthogonal matching pursuit of x over the unit-norm dictionary D."""
     D = np.atleast_2d(np.asarray(D, dtype=np.float64))
     x = np.ravel(np.asarray(x, dtype=np.float64))
-    if q < 1:
-        raise ValueError("cardinality q must be >= 1")
     if D.shape[0] != x.shape[0]:
         raise ValueError("signal dimension does not match dictionary")
     return _single_code(D.T @ x, D.T @ D, float(x @ x), q)
@@ -176,13 +177,15 @@ def omp_batch(D: np.ndarray, X: np.ndarray, q: int) -> np.ndarray:
     return _dense_codes(D.T @ X, D.T @ D, np.sum(X * X, axis=0), q)
 
 
-def normalize_coefficient_dictionary(A: np.ndarray, K_XX: np.ndarray) -> np.ndarray:
+def normalize_coefficient_dictionary(A: np.ndarray, K_XX: np.ndarray):
     """Scale the columns of A so each feature-space atom has unit norm,
-    a_j^T K a_j = 1. Zero-norm atoms are left untouched."""
+    a_j^T K a_j = 1, by the linear learner's rule: every atom of norm > 0 is
+    scaled and zero-norm atoms are left untouched. Returns (A, scale), the
+    scaled A and the per-atom divisors."""
     A = np.asarray(A, dtype=np.float64)
     norms = np.sqrt(np.maximum(np.einsum("ij,ij->j", A, K_XX @ A), 0.0))
-    scale = np.where(norms > 1e-12, norms, 1.0)
-    return A / scale
+    scale = np.where(norms > 0, norms, 1.0)
+    return A / scale, scale
 
 
 def komp(
@@ -201,8 +204,6 @@ def komp(
     """
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     K_zX = np.ravel(np.asarray(K_zX, dtype=np.float64))
-    if q < 1:
-        raise ValueError("cardinality q must be >= 1")
     if K_zX.shape[0] != A.shape[0]:
         raise ValueError("K(z,X) length does not match coefficient dictionary")
     M = A.T @ (np.asarray(K_XX, dtype=np.float64) @ A)

@@ -315,6 +315,34 @@ def test_unknown_update_method_refused(pipeline):
         run_single(cfg, train, test, seed=0)
 
 
+@pytest.mark.parametrize("pipeline, learner_type", [
+    ("linear", "per_class"), ("lkdl", "per_class"),
+    ("kernel_baseline", "per_class"), ("lkdl", "lcksvd"),
+])
+@pytest.mark.parametrize("key, value", [
+    ("q", 0), ("q", -1), ("atoms", 0), ("iterations", -2),
+])
+def test_out_of_range_learner_settings_refused(
+    pipeline, learner_type, key, value
+):
+    # q <= 0 and zero atoms would code nothing and give every sample one
+    # label, and a negative pass count would run no pass: each pipeline
+    # refuses them instead. LC-KSVD counts its atoms in ``m``
+    message = {
+        "q": "cardinality q must be >= 1",
+        "atoms": "m=0 atoms: a dictionary needs at least one",
+        "iterations": "iterations=-2 must be >= 0",
+    }[key]
+    if key == "atoms":
+        key = "m" if learner_type == "lcksvd" else "m_per_class"
+    learner = {"type": learner_type, "m_per_class": 8, "m": 8, "q": 1,
+               "iterations": 2, key: value}
+    cfg = _mixture_config(pipeline=pipeline, learner=learner)
+    train, test = load_split(cfg)
+    with pytest.raises(ValueError, match=message):
+        run_single(cfg, train, test, seed=0)
+
+
 class _Stop(Exception):
     pass
 

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lkdl.kernels import KernelSpec, kernel_matrix
@@ -202,7 +202,7 @@ def test_komp_feature_space_atom_exact():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((5, 12))
     K = kernel_matrix(KernelSpec(kind="gaussian", sigma=1.5), X, X)
-    A = normalize_coefficient_dictionary(rng.standard_normal((12, 6)), K)
+    A, _ = normalize_coefficient_dictionary(rng.standard_normal((12, 6)), K)
     j = 4
     # z = feature-space atom j: K(z, X) = a_j^T K and kzz = a_j^T K a_j = 1
     K_zX = A[:, j] @ K
@@ -219,7 +219,7 @@ def test_komp_matches_omp_on_exact_virtual_samples():
     rng = np.random.default_rng(7)
     B = rng.standard_normal((25, 20))
     K = B.T @ B
-    A = normalize_coefficient_dictionary(rng.standard_normal((20, 10)), K)
+    A, _ = normalize_coefficient_dictionary(rng.standard_normal((20, 10)), K)
     F = exact_virtual_samples(K, 20)
     DF = F @ A
     for i in range(10):
@@ -233,7 +233,7 @@ def test_komp_batch_matches_scalar_komp():
     rng = np.random.default_rng(11)
     B = rng.standard_normal((10, 15))
     K = B.T @ B
-    A = normalize_coefficient_dictionary(rng.standard_normal((15, 7)), K)
+    A, _ = normalize_coefficient_dictionary(rng.standard_normal((15, 7)), K)
     Z = rng.standard_normal((10, 6))
     X = B  # signals and kernel share the same feature map here
     K_ZX = Z.T @ B
@@ -283,7 +283,7 @@ def test_residual_energies_match_explicit_residuals():
 
         B = rng.standard_normal((6, 20))
         K = kernel_matrix(KernelSpec(kind="gaussian", sigma=2.0), B, B)
-        A = normalize_coefficient_dictionary(rng.standard_normal((20, 7)), K)
+        A, _ = normalize_coefficient_dictionary(rng.standard_normal((20, 7)), K)
         Z = rng.standard_normal((6, 15))
         K_ZX = kernel_matrix(KernelSpec(kind="gaussian", sigma=2.0), Z, B)
         kzz = np.ones(15)
@@ -303,7 +303,7 @@ def test_normalize_coefficient_dictionary_unit_feature_norms():
     rng = np.random.default_rng(13)
     B = rng.standard_normal((9, 14))
     K = B.T @ B
-    A = normalize_coefficient_dictionary(rng.standard_normal((14, 5)), K)
+    A, _ = normalize_coefficient_dictionary(rng.standard_normal((14, 5)), K)
     norms = np.einsum("ij,ij->j", A, K @ A)
     assert np.allclose(norms, 1.0, atol=1e-10)
 
@@ -335,7 +335,10 @@ def _assert_batch_matches_reference(C0, G, norms2, q):
         ref = _greedy_pursuit(C0[:, i], G, float(norms2[i]), q)
         s = int(size[i])
         assert support[i, :s].tolist() == ref.support.tolist()
-        assert np.allclose(values[i, :s], ref.values, rtol=0.0, atol=1e-10)
+        # coefficients are bounded relative to their size: an ill-conditioned
+        # support Gram amplifies rounding by its condition number
+        atol = 1e-10 * max(1.0, np.abs(ref.values).max(initial=0.0))
+        assert np.allclose(values[i, :s], ref.values, rtol=0.0, atol=atol)
         # energies, not norms: the square root of an energy that cancels to
         # about 1e-15 would magnify its rounding to about 1e-8
         assert rnorm2[i] == pytest.approx(ref.residual_norm**2, abs=1e-10)
@@ -351,6 +354,9 @@ def _assert_batch_matches_reference(C0, G, norms2, q):
     q=st.integers(1, 14),
     zero_columns=st.booleans(),
 )
+# coefficients of about 82 on a support Gram of condition 4.4e4: the two
+# pursuits differ by 1.0e-10, 1.2e-12 of the coefficients' size
+@example(seed=3, p=7, m=6, n=2, q=6, zero_columns=False)
 def test_batch_pursuit_matches_reference_on_random_dictionaries(
     seed, p, m, n, q, zero_columns
 ):
