@@ -21,7 +21,7 @@ from .nystrom import (
 )
 from .sparse_coding import SparseCode, komp, omp, omp_batch
 from .dict_learning import LearnReport, kernel_mod_learn, learn
-from .classify import ClassDictionaryModel, classify, train_per_class
+from .classify import ClassDictionaryModel, classify_batch, train_per_class
 from .lcksvd import LCKSVDModel, build_label_structures
 from .datasets import LabeledDataset
 
@@ -32,7 +32,7 @@ __all__ = [
     "approximation_error",
     "SparseCode", "omp", "omp_batch", "komp",
     "LearnReport", "learn", "kernel_mod_learn",
-    "ClassDictionaryModel", "train_per_class", "classify",
+    "ClassDictionaryModel", "train_per_class", "classify_batch",
     "LCKSVDModel", "build_label_structures",
     "LabeledDataset",
     "__version__",

@@ -83,15 +83,9 @@ def class_residuals(model: ClassDictionaryModel, F: np.ndarray) -> np.ndarray:
     ])
 
 
-def classify(model: ClassDictionaryModel, f: np.ndarray):
-    """Classify one sample; returns (label, residuals). Ties break to the
-    lowest label."""
-    res = class_residuals(model, np.reshape(f, (-1, 1)))[:, 0]
-    return model.labels[int(np.argmin(res))], res
-
-
 def classify_batch(model: ClassDictionaryModel, F: np.ndarray) -> np.ndarray:
-    """Predicted labels for each column of F."""
+    """Predicted labels for each column of F; ties break to the lowest
+    label."""
     res = class_residuals(model, F)
     return model.labels[np.argmin(res, axis=0)]
 

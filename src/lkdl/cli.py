@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Subcommands: preprocess, train, classify, experiment, sweep, approx-error,
-lcksvd. Every run is driven by a YAML config file; individual fields can be
+Subcommands: preprocess, train, classify, experiment, sweep, approx-error.
+Every run is driven by a YAML config file; individual fields can be
 overridden with ``--set key.path=value``. Outputs are CSV files plus a JSON
 run manifest (config echo, RNG name, library version, timestamp).
 """
@@ -54,8 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated axis values")
     command("approx-error", cmd_approx_error,
             "kernel-matrix approximation error benchmark")
-    command("lcksvd", cmd_lcksvd,
-            "run the experiment with the label-consistent learner")
     return parser
 
 
@@ -186,11 +184,6 @@ def cmd_experiment(cfg, args) -> int:
     print(f"accuracy {report.accuracy_mean:.4f} +/- {report.accuracy_std:.4f} "
           f"over {cfg.repeats} repeats; wrote {out / 'experiment.csv'}")
     return 0
-
-
-def cmd_lcksvd(cfg, args) -> int:
-    cfg.learner = {**cfg.learner, "type": "lcksvd"}
-    return cmd_experiment(cfg, args)
 
 
 def cmd_sweep(cfg, args) -> int:

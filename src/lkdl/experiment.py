@@ -23,13 +23,11 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-# the package re-exports a ``classify`` *function*, which shadows the
-# submodule attribute on the package, so import the submodule by file
 from .classify import (
     classify_batch,
     corrupt_gaussian,
@@ -58,18 +56,22 @@ CSV_FIELDS = [
 #: Defaults of the ``learner`` config keys, shared by every learner and by
 #: the kernel baseline.
 LEARNER_DEFAULTS = {
-    "type": "per_class", "m_per_class": 50, "m": 60, "q": 5, "iterations": 5,
+    "type": "per_class", "m_per_class": 50, "q": 5, "iterations": 5,
     "method": "ksvd", "alpha": 1.0, "beta": 1.0, "variant": 2, "tau2": 1e-4,
 }
 
 
-#: Keys of the ``dataset`` and ``corruption`` sections that ``load_split``
-#: and ``apply_corruption`` read.
+#: Keys of the top level and of the ``dataset`` and ``corruption`` sections
+#: that ``from_dict``, ``load_split`` and ``apply_corruption`` read. A run
+#: applies one corruption kind.
+CONFIG_KEYS = ("dataset", "kernel", "sampler", "k", "pipeline", "learner",
+               "corruption", "repeats", "seed", "output_dir")
 DATASET_KEYS = (
     "synthetic", "n_per_class", "n_classes", "p", "radii", "noise_sigma",
     "seed", "train", "test", "normalize", "train_fraction",
 )
-CORRUPTION_KEYS = ("gaussian_sigma", "missing_fraction", "renormalize")
+CORRUPTION_KINDS = ("gaussian_sigma", "missing_fraction")
+CORRUPTION_KEYS = (*CORRUPTION_KINDS, "renormalize")
 
 
 def _check_keys(section: str, given: dict, known) -> None:
@@ -98,12 +100,14 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         raw = dict(raw)
-        kernel = KernelSpec(**raw.pop("kernel", {}))
+        _check_keys("top-level", raw, CONFIG_KEYS)
+        kernel = raw.pop("kernel", {})
+        _check_keys("kernel", kernel, [f.name for f in fields(KernelSpec)])
         sampler = raw.pop("sampler", {})
         _check_keys("sampler", sampler, ("method", "c", "c_fraction"))
         cfg = cls(
             dataset=raw.pop("dataset"),
-            kernel=kernel,
+            kernel=KernelSpec(**kernel),
             sampler_method=sampler.get("method", "uniform"),
             c=sampler.get("c"),
             c_fraction=sampler.get("c_fraction"),
@@ -111,6 +115,9 @@ class ExperimentConfig:
         )
         _check_keys("dataset", cfg.dataset, DATASET_KEYS)
         _check_keys("corruption", cfg.corruption, CORRUPTION_KEYS)
+        if all(kind in cfg.corruption for kind in CORRUPTION_KINDS):
+            raise ValueError("corruption takes one of gaussian_sigma and "
+                             "missing_fraction, not both")
         _check_keys("learner", cfg.learner, LEARNER_DEFAULTS)
         if cfg.pipeline not in ("linear", "lkdl", "kernel_baseline"):
             raise ValueError(f"unknown pipeline: {cfg.pipeline!r}")
@@ -299,7 +306,7 @@ def train_learner(config: ExperimentConfig, F_train, y_train, seed: int):
         )
     if s["type"] == "lcksvd":
         return _lcksvd.train(
-            F_train, y_train, s["m"], s["q"], s["alpha"], s["beta"],
+            F_train, y_train, s["m_per_class"], s["q"], s["alpha"], s["beta"],
             s["iterations"], variant=s["variant"], tau2=s["tau2"], seed=seed,
         )
     raise ValueError(f"unknown learner type: {s['type']!r}")
@@ -393,10 +400,12 @@ def run_sweep(config: ExperimentConfig, axis: str, values: list[float]) -> list[
             cfg.c, cfg.c_fraction = None, float(value)
         elif axis == "k":
             cfg.k = int(value)
-        elif axis == "noise_sigma":
-            cfg.corruption = {**config.corruption, "gaussian_sigma": float(value)}
-        elif axis == "missing_fraction":
-            cfg.corruption = {"missing_fraction": float(value)}
+        elif axis in ("noise_sigma", "missing_fraction"):
+            # the axis's corruption kind replaces the configured one
+            kind = "gaussian_sigma" if axis == "noise_sigma" else axis
+            cfg.corruption = {key: v for key, v in config.corruption.items()
+                              if key not in CORRUPTION_KINDS}
+            cfg.corruption[kind] = float(value)
         else:
             cfg.dataset = {**config.dataset, "train_fraction": float(value)}
         report = run_experiment(cfg)

@@ -40,21 +40,17 @@ class LCKSVDModel:
     atom_scales: np.ndarray     # per-atom stacked-column norms (extraction record)
 
 
-def build_label_structures(labels: np.ndarray, m: int) -> LabelStructures:
-    """One-hot label matrix H and ideal code matrix Q with the m atoms split
-    evenly and contiguously over the classes in label order."""
+def build_label_structures(
+    labels: np.ndarray, m_per_class: int
+) -> LabelStructures:
+    """One-hot label matrix H and ideal code matrix Q with m_per_class
+    atoms per class, contiguous in label order."""
     labels = np.ravel(np.asarray(labels))
     classes = np.unique(labels)
-    L = classes.shape[0]
-    if m % L != 0:
-        raise ValueError(
-            f"m={m} atoms cannot be split evenly over {L} classes; "
-            "learner.m must be a multiple of the class count"
-        )
     H = (labels == classes[:, None]).astype(np.float64)
     return LabelStructures(
-        H=H, Q=np.repeat(H, m // L, axis=0),
-        atom_labels=np.repeat(classes, m // L), classes=classes,
+        H=H, Q=np.repeat(H, m_per_class, axis=0),
+        atom_labels=np.repeat(classes, m_per_class), classes=classes,
     )
 
 
@@ -70,7 +66,7 @@ def ridge_classifier(H: np.ndarray, Gamma: np.ndarray, tau2: float) -> np.ndarra
 def train(
     X: np.ndarray,
     labels: np.ndarray,
-    m: int,
+    m_per_class: int,
     q: int,
     alpha: float,
     beta: float,
@@ -79,7 +75,8 @@ def train(
     tau2: float = 1e-4,
     seed: int = 0,
 ) -> LCKSVDModel:
-    """Learn (D, T, Theta) through the stacked reformulation.
+    """Learn (D, T, Theta) with m_per_class atoms per class through the
+    stacked reformulation.
 
     The stacked dictionary is initialized from data columns (same column
     choice as plain learning with this seed), T from the identity and, in
@@ -96,7 +93,8 @@ def train(
     if alpha < 0 or beta < 0:
         raise ValueError("alpha and beta must be nonnegative")
     p, n = X.shape
-    structures = build_label_structures(labels, m)
+    structures = build_label_structures(labels, m_per_class)
+    m = structures.atom_labels.size
     sa, sb = float(np.sqrt(alpha)), float(np.sqrt(beta))
 
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -143,13 +141,6 @@ def train(
     )
 
 
-def predict(model: LCKSVDModel, x: np.ndarray):
-    """Sparse code x over D with the training cardinality, apply the
-    classifier; returns (label, scores). Ties break to the lowest label."""
-    scores = class_scores(model, np.reshape(x, (-1, 1)))[:, 0]
-    return model.classes[int(np.argmax(scores))], scores
-
-
 def class_scores(model: LCKSVDModel, X: np.ndarray) -> np.ndarray:
     """Classifier scores Theta gamma_i of each column of X; shape
     (n_classes, n_samples)."""
@@ -163,5 +154,7 @@ def class_scores(model: LCKSVDModel, X: np.ndarray) -> np.ndarray:
 
 
 def predict_batch(model: LCKSVDModel, X: np.ndarray) -> np.ndarray:
+    """Predicted labels for each column of X; ties break to the lowest
+    label."""
     scores = class_scores(model, X)
     return model.classes[np.argmax(scores, axis=0)]

@@ -378,7 +378,7 @@ def test_criterion_09_label_consistent_learning():
              rng.standard_normal((6, n)) - 4.0], axis=1,
         )
         y = np.repeat([1, 2], n)
-        model = lcksvd_train(X, y, m=6, q=1, alpha=0.0, beta=0.0,
+        model = lcksvd_train(X, y, m_per_class=3, q=1, alpha=0.0, beta=0.0,
                              iterations=4, seed=seed)
         D_plain, _, _ = learn(X, 6, 1, 4, method="ksvd", seed=seed)
         G1 = omp_batch(model.D, X, 1)
@@ -398,8 +398,8 @@ def test_criterion_09_label_consistent_learning():
     Xte, yte = draw(40, rng)
     accs = {}
     for variant in (1, 2):
-        model = lcksvd_train(Xtr, ytr, m=9, q=2, alpha=2.0, beta=2.0,
-                             iterations=8, variant=variant, seed=5)
+        model = lcksvd_train(Xtr, ytr, m_per_class=3, q=2, alpha=2.0,
+                             beta=2.0, iterations=8, variant=variant, seed=5)
         accs[variant] = float(np.mean(predict_batch(model, Xte) == yte))
 
     ok = (mismatches == 0 and accs[2] >= accs[1] - 0.02

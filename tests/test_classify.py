@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lkdl.classify import (
-    classify,
+    class_residuals,
     classify_batch,
     corrupt_gaussian,
     corrupt_missing,
@@ -42,9 +42,11 @@ def test_atom_of_a_class_gets_that_label():
     model = train_per_class(X, y, m_per_class=2, q=1, iterations=5, seed=3)
     for i, lab in enumerate(model.labels):
         for j in range(model.dictionaries[i].shape[1]):
-            pred, res = classify(model, model.dictionaries[i][:, j])
-            assert pred == lab
-            assert res[i] == pytest.approx(0.0, abs=1e-16)
+            atom = model.dictionaries[i][:, j : j + 1]
+            assert classify_batch(model, atom).tolist() == [lab]
+            assert class_residuals(model, atom)[i, 0] == pytest.approx(
+                0.0, abs=1e-16
+            )
 
 
 def test_tie_breaks_to_lowest_label():
@@ -57,10 +59,10 @@ def test_tie_breaks_to_lowest_label():
     model = ClassDictionaryModel(
         labels=np.array([3, 7]), dictionaries=[D1, D2], q=1
     )
-    x = np.array([0.0, 0.0, 1.0, 1.0])
-    pred, res = classify(model, x)
+    x = np.array([[0.0], [0.0], [1.0], [1.0]])
+    res = class_residuals(model, x)[:, 0]
     assert res[0] == pytest.approx(res[1])
-    assert pred == 3
+    assert classify_batch(model, x).tolist() == [3]
 
 
 def test_classify_batch_agrees_with_scalar():
@@ -68,9 +70,9 @@ def test_classify_batch_agrees_with_scalar():
     model = train_per_class(X, y, m_per_class=2, q=1, iterations=3, seed=0)
     F = np.random.default_rng(5).standard_normal((4, 10))
     batch = classify_batch(model, F)
+    # each column is coded on its own: a batch of one gives the same label
     for i in range(10):
-        pred, _ = classify(model, F[:, i])
-        assert batch[i] == pred
+        assert classify_batch(model, F[:, i : i + 1]).tolist() == [batch[i]]
 
 
 def test_corrupt_gaussian_sigma_zero_is_identity():
@@ -179,7 +181,8 @@ def test_oversized_dictionary_warns():
     # message, also by LC-KSVD, whose one dictionary spans every class
     X, y = _two_subspace_data(seed=9, n=3)
     with pytest.raises(ValueError, match="^m=8 atoms exceed N=6 training"):
-        lcksvd_train(X, y, m=8, q=1, alpha=1.0, beta=1.0, iterations=1)
+        lcksvd_train(X, y, m_per_class=4, q=1, alpha=1.0, beta=1.0,
+                     iterations=1)
 
 
 def test_oversized_class_warns_once():

@@ -180,7 +180,8 @@ def test_train_classify_accuracy_equals_run_single(
     # q = 2: K-SVD runs on overlapping supports through train -> save ->
     # load -> classify; the linear pipeline has no map to pass
     overrides = [f"pipeline={pipeline}", f"learner.type={learner}",
-                 "learner.m=8", "learner.q=2", f"learner.method={method}"]
+                 "learner.m_per_class=4", "learner.q=2",
+                 f"learner.method={method}"]
     sets = [arg for item in overrides for arg in ("--set", item)]
     model_dir, pred_dir = tmp_path / "model_dir", tmp_path / "pred_dir"
     assert main(["train", "--config", str(mixture_config),
@@ -215,7 +216,8 @@ def test_classify_columns_are_plain_floats(
 ):
     # the residual and score columns hold the classifier's values as plain
     # float literals (not numpy scalar reprs) that parse back exactly
-    sets = ["--set", f"learner.type={learner}", "--set", "learner.m=8"]
+    sets = ["--set", f"learner.type={learner}",
+            "--set", "learner.m_per_class=4"]
     model_dir, pred_dir = tmp_path / "model_dir", tmp_path / "pred_dir"
     assert main(["train", "--config", str(mixture_config),
                  "--out", str(model_dir)] + sets) == 0
@@ -303,11 +305,11 @@ def test_approx_error_command(mixture_config, tmp_path):
     assert 0.0 <= err <= 1.0
 
 
-def test_lcksvd_command(mixture_config, tmp_path):
+def test_experiment_runs_lcksvd_learner(mixture_config, tmp_path):
     out = tmp_path / "lcksvd_dir"
-    rc = main(["lcksvd", "--config", str(mixture_config), "--out", str(out),
-               "--set", "learner.m=8", "--set", "learner.alpha=1.0",
-               "--set", "learner.beta=1.0"])
+    rc = main(["experiment", "--config", str(mixture_config), "--out", str(out),
+               "--set", "learner.type=lcksvd", "--set", "learner.m_per_class=4",
+               "--set", "learner.alpha=1.0", "--set", "learner.beta=1.0"])
     assert rc == 0
     with (out / "experiment.csv").open() as fh:
         rows = list(csv.DictReader(fh))

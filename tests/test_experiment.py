@@ -71,6 +71,21 @@ def test_config_validation():
     corruption = {"gaussian_sigma": 0.1, "renormalise": True}
     with pytest.raises(ValueError, match="unknown corruption key 'renormalise'"):
         _mixture_config(corruption=corruption)
+    # refused as ValueError before the dataclass constructors see them
+    with pytest.raises(
+        ValueError,
+        match="unknown kernel key 'sigm'; known keys: kind, degree, sigma, coef0",
+    ):
+        _mixture_config(kernel={"kind": "gaussian", "sigm": 2.0})
+    with pytest.raises(ValueError, match="unknown top-level key 'pipelin'"):
+        _mixture_config(pipelin="lkdl")
+    # LC-KSVD counts its atoms in m_per_class, as every learner does
+    with pytest.raises(ValueError, match="unknown learner key 'm'"):
+        _mixture_config(learner={"type": "lcksvd", "m": 8})
+    # a run applies one corruption kind
+    corruption = {"gaussian_sigma": 0.1, "missing_fraction": 0.2}
+    with pytest.raises(ValueError, match="not both"):
+        _mixture_config(corruption=corruption)
 
 
 def test_load_split_normalize_gives_unit_columns():
@@ -327,15 +342,15 @@ def test_out_of_range_learner_settings_refused(
 ):
     # q <= 0 and zero atoms would code nothing and give every sample one
     # label, and a negative pass count would run no pass: each pipeline
-    # refuses them instead. LC-KSVD counts its atoms in ``m``
+    # refuses them instead
     message = {
         "q": "cardinality q must be >= 1",
         "atoms": "m=0 atoms: a dictionary needs at least one",
         "iterations": "iterations=-2 must be >= 0",
     }[key]
     if key == "atoms":
-        key = "m" if learner_type == "lcksvd" else "m_per_class"
-    learner = {"type": learner_type, "m_per_class": 8, "m": 8, "q": 1,
+        key = "m_per_class"
+    learner = {"type": learner_type, "m_per_class": 8, "q": 1,
                "iterations": 2, key: value}
     cfg = _mixture_config(pipeline=pipeline, learner=learner)
     train, test = load_split(cfg)
@@ -378,6 +393,43 @@ def test_run_sweep_c_over_n_rows(tmp_path):
     write_csv(rows, tmp_path / "sweep.csv")
     header = (tmp_path / "sweep.csv").read_text().splitlines()[0]
     assert header.split(",")[0] == "c_over_N"
+
+
+def test_run_sweep_corruption_axes_replace_only_the_corruption_kind(
+    monkeypatch,
+):
+    # an axis sets its corruption kind, drops the other kind's key and
+    # keeps the rest of the section, such as renormalize
+    seen = []
+
+    def record(cfg):
+        seen.append(cfg.corruption)
+        return experiment.RunReport(rows=[], accuracy_mean=0.0, accuracy_std=0.0)
+
+    monkeypatch.setattr(experiment, "run_experiment", record)
+    for kind in ("gaussian_sigma", "missing_fraction"):
+        cfg = _mixture_config(corruption={kind: 0.1, "renormalize": False})
+        run_sweep(cfg, "noise_sigma", [0.3])
+        run_sweep(cfg, "missing_fraction", [0.25])
+    assert seen == [
+        {"gaussian_sigma": 0.3, "renormalize": False},
+        {"missing_fraction": 0.25, "renormalize": False},
+    ] * 2
+
+
+def test_lcksvd_learns_m_per_class_atoms_for_any_class_count():
+    # LC-KSVD learns m_per_class atoms per class for any class count: 4
+    # atoms for each of 7 classes
+    dataset = {"synthetic": "gaussian_mixture", "n_per_class": 10,
+               "n_classes": 7, "p": 5, "seed": 1}
+    cfg = _mixture_config(
+        dataset=dataset, pipeline="linear",
+        learner={"type": "lcksvd", "m_per_class": 4, "q": 1, "iterations": 1},
+    )
+    train, _ = load_split(cfg)
+    model = experiment.train_learner(cfg, train.samples, train.labels, seed=0)
+    assert model.D.shape == (5, 28)
+    assert model.classes.tolist() == list(range(1, 8))
 
 
 def test_run_sweep_rejects_bad_axis_and_empty_values():

@@ -5,7 +5,7 @@ from lkdl.dict_learning import learn
 from lkdl.lcksvd import (
     LCKSVDModel,
     build_label_structures,
-    predict,
+    class_scores,
     predict_batch,
     ridge_classifier,
     train,
@@ -29,7 +29,7 @@ def _blob_data(seed=0, n=30, p=6, classes=3, separation=6.0):
 
 def test_label_structures_hand_example():
     labels = np.array([2, 1, 2, 1])
-    s = build_label_structures(labels, 4)
+    s = build_label_structures(labels, 2)
     assert s.classes.tolist() == [1, 2]
     # H rows follow sorted class order
     assert s.H.tolist() == [[0, 1, 0, 1], [1, 0, 1, 0]]
@@ -50,14 +50,9 @@ def test_label_structures_single_class():
 
 def test_label_structures_column_sums():
     labels = np.random.default_rng(1).integers(1, 5, size=40)
-    s = build_label_structures(labels, 8)
+    s = build_label_structures(labels, 2)
     # exactly one class per sample
     assert np.allclose(s.H.sum(axis=0), 1.0)
-
-
-def test_label_structures_uneven_split_requires_counts():
-    with pytest.raises(ValueError, match="multiple of the class count"):
-        build_label_structures(np.array([1, 2, 3]), 4)
 
 
 # ---------------------------------------------------------------- classifier
@@ -86,7 +81,8 @@ def test_zero_weights_reduce_to_plain_dictionary_learning():
     # with alpha = beta = 0 the stacked problem is exactly the plain one;
     # compare the dictionaries and fresh codes over them
     X, y = _blob_data(seed=3, n=20)
-    model = train(X, y, m=6, q=1, alpha=0.0, beta=0.0, iterations=4, seed=7)
+    model = train(X, y, m_per_class=2, q=1, alpha=0.0, beta=0.0, iterations=4,
+                  seed=7)
     D_plain, _, _ = learn(X, 6, 1, 4, method="ksvd", seed=7)
     assert np.max(np.abs(model.D - D_plain)) < 1e-12
     G1 = omp_batch(model.D, X, 1)
@@ -98,7 +94,8 @@ def test_perfect_codes_give_zero_training_error():
     # signals that are exactly their class's ideal code pattern: with Gamma
     # equal to Q the classifier separates training data perfectly
     X, y = _blob_data(seed=4, n=25, separation=8.0)
-    model = train(X, y, m=6, q=2, alpha=4.0, beta=2.0, iterations=8, seed=1)
+    model = train(X, y, m_per_class=2, q=2, alpha=4.0, beta=2.0, iterations=8,
+                  seed=1)
     pred = predict_batch(model, X)
     assert np.mean(pred == y) == 1.0
 
@@ -107,7 +104,7 @@ def test_ridge_on_ideal_codes_maps_atoms_to_their_class():
     # a classifier fit to the ideal discriminative codes scores each atom's
     # indicator vector highest on that atom's own class
     labels = np.repeat([1, 2, 3], 10)
-    s = build_label_structures(labels, 6)
+    s = build_label_structures(labels, 2)
     Theta = ridge_classifier(s.H, s.Q, 1e-6)
     atom_class_idx = np.searchsorted(s.classes, s.atom_labels)
     for j in range(6):
@@ -125,15 +122,15 @@ def test_scores_invariant_to_atom_normalization():
         sqrt_alpha=1.0, sqrt_beta=1.0, variant=2, tau2=1e-4, q=6,
         classes=np.array([1, 2, 3]), atom_scales=np.ones(6),
     )
-    x = rng.standard_normal(6)
-    _, base = predict(base_model, x)
+    x = rng.standard_normal((6, 1))
+    base = class_scores(base_model, x)
     scale = rng.uniform(0.5, 2.0, size=6)
     scaled_model = LCKSVDModel(
         D=Q / scale, T=base_model.T, Theta=base_model.Theta / scale,
         sqrt_alpha=1.0, sqrt_beta=1.0, variant=2, tau2=1e-4, q=6,
         classes=base_model.classes, atom_scales=scale,
     )
-    _, scores = predict(scaled_model, x)
+    scores = class_scores(scaled_model, x)
     assert np.allclose(scores, base, atol=1e-8)
 
 
@@ -142,7 +139,7 @@ def test_both_variants_beat_nearest_mean_within_margin(variant):
     X, y = _blob_data(seed=8, n=60, separation=4.0)
     Xte, yte = _blob_data(seed=9, n=40, separation=4.0)
     model = train(
-        X, y, m=9, q=2, alpha=2.0, beta=2.0, iterations=10,
+        X, y, m_per_class=3, q=2, alpha=2.0, beta=2.0, iterations=10,
         variant=variant, seed=4,
     )
     acc = float(np.mean(predict_batch(model, Xte) == yte))
@@ -156,16 +153,18 @@ def test_both_variants_beat_nearest_mean_within_margin(variant):
 
 def test_prediction_tie_breaks_to_lowest_label():
     X, y = _blob_data(seed=10, n=15)
-    model = train(X, y, m=6, q=1, alpha=1.0, beta=1.0, iterations=3, seed=5)
+    model = train(X, y, m_per_class=2, q=1, alpha=1.0, beta=1.0, iterations=3,
+                  seed=5)
     model.Theta = np.zeros_like(model.Theta)  # every score ties at zero
-    pred, scores = predict(model, X[:, 0])
-    assert pred == model.classes[0]
+    pred, scores = predict_batch(model, X[:, :1]), class_scores(model, X[:, :1])
+    assert pred.tolist() == [model.classes[0]]
     assert np.all(scores == 0.0)
 
 
 def test_invalid_arguments_rejected():
     X, y = _blob_data(seed=11, n=10)
     with pytest.raises(ValueError):
-        train(X, y, m=6, q=1, alpha=-1.0, beta=0.0, iterations=1)
+        train(X, y, m_per_class=2, q=1, alpha=-1.0, beta=0.0, iterations=1)
     with pytest.raises(ValueError):
-        train(X, y, m=6, q=1, alpha=0.0, beta=0.0, iterations=1, variant=3)
+        train(X, y, m_per_class=2, q=1, alpha=0.0, beta=0.0, iterations=1,
+              variant=3)
