@@ -61,11 +61,8 @@ LEARNER_DEFAULTS = {
 }
 
 
-#: Keys of the top level and of the ``dataset`` and ``corruption`` sections
-#: that ``from_dict``, ``load_split`` and ``apply_corruption`` read. A run
-#: applies one corruption kind.
-CONFIG_KEYS = ("dataset", "kernel", "sampler", "k", "pipeline", "learner",
-               "corruption", "repeats", "seed", "output_dir")
+#: Keys of the ``dataset`` and ``corruption`` sections that ``load_split``
+#: and ``apply_corruption`` read. A run applies one corruption kind.
 DATASET_KEYS = (
     "synthetic", "n_per_class", "n_classes", "p", "radii", "noise_sigma",
     "seed", "train", "test", "normalize", "train_fraction",
@@ -100,7 +97,10 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         raw = dict(raw)
-        _check_keys("top-level", raw, CONFIG_KEYS)
+        sampler_fields = ("sampler_method", "c", "c_fraction")
+        _check_keys("top-level", raw, [
+            f.name for f in fields(cls) if f.name not in sampler_fields
+        ] + ["sampler"])
         kernel = raw.pop("kernel", {})
         _check_keys("kernel", kernel, [f.name for f in fields(KernelSpec)])
         sampler = raw.pop("sampler", {})

@@ -432,6 +432,23 @@ def test_lcksvd_learns_m_per_class_atoms_for_any_class_count():
     assert model.classes.tolist() == list(range(1, 8))
 
 
+def test_lcksvd_refuses_more_atoms_than_samples_where_per_class_caps():
+    # per_class learns min(m_per_class, n_i) atoms for each class; LC-KSVD's
+    # one dictionary of m_per_class * L atoms has no per-class cap and is
+    # refused once it exceeds the N training samples
+    cfg = _mixture_config(pipeline="linear")
+    train, _ = load_split(cfg)
+    n_class = train.n // 2
+    learner = {"m_per_class": n_class + 1, "q": 1, "iterations": 1}
+    cfg.learner = {**learner, "type": "per_class"}
+    model = experiment.train_learner(cfg, train.samples, train.labels, seed=0)
+    assert [D.shape[1] for D in model.dictionaries] == [n_class, n_class]
+    cfg.learner = {**learner, "type": "lcksvd"}
+    message = f"m={2 * n_class + 2} atoms exceed N={train.n} training samples"
+    with pytest.raises(ValueError, match=message):
+        experiment.train_learner(cfg, train.samples, train.labels, seed=0)
+
+
 def test_run_sweep_rejects_bad_axis_and_empty_values():
     cfg = _mixture_config()
     with pytest.raises(ValueError, match="axis"):
