@@ -66,6 +66,9 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
         parts = key.split(".")
         for part in parts[:-1]:
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ValueError(f"the {part} section must be a mapping, "
+                                 f"not {type(node).__name__}")
         node[parts[-1]] = yaml.safe_load(value)
     return raw
 

@@ -119,31 +119,33 @@ def _top_singular_triplet(E: np.ndarray):
     largest column and stops when a step moves the iterate by less than
     1e-10, or after 250 steps (1000 alternating steps)."""
     energy = np.einsum("ij,ij->j", E, E)
-    start = int(np.argmax(energy))
+    start = int(energy.argmax())
     if energy[start] == 0:
         return None
     rows = E.shape[0] <= E.shape[1]
-    M = (E @ E.T if rows else E.T @ E) / float(energy.sum())
+    M = E.dot(E.T) if rows else E.T.dot(E)
+    M /= float(energy.sum())
     # on the E^T E side, E's largest column enters as E^T E e_start
     x = E[:, start] if rows else M[:, start]
-    x = x / math.sqrt(x @ x)
-    M = M @ M
-    M = M @ M
+    x = x / math.sqrt(x.dot(x))
+    M = M.dot(M)
+    M = M.dot(M)
     for _ in range(250):
-        y = M @ x
-        s = math.sqrt(y @ y)
+        y = M.dot(x)
+        s = math.sqrt(y.dot(y))
         if s == 0:
             break
         y /= s
         d = y - x
         x = y
-        if math.sqrt(d @ d) < 1e-10:
+        if math.sqrt(d.dot(d)) < 1e-10:
             break
-    w = E.T @ x if rows else E @ x
-    s = math.sqrt(w @ w)
+    w = E.T.dot(x) if rows else E.dot(x)
+    s = math.sqrt(w.dot(w))
     if s == 0:
         return None
-    return (x, s, w / s) if rows else (w / s, s, x)
+    w /= s
+    return (x, s, w) if rows else (w, s, x)
 
 
 def ksvd_update(X: np.ndarray, D: np.ndarray, Gamma: np.ndarray):
@@ -151,9 +153,11 @@ def ksvd_update(X: np.ndarray, D: np.ndarray, Gamma: np.ndarray):
     replaced by the rank-1 factorization of the residual restricted to the
     signals that use the atom (``_top_singular_triplet``). Supports are
     unchanged. The residual R = X - D Gamma is formed once and kept current:
-    after atom j changes only its users' columns are rewritten. Atoms used
-    by no signal are replaced by the worst-represented signal, the largest
-    column of R.
+    after atom j changes only its users' columns are rewritten. Row j of
+    Gamma changes only at atom j's step, so every atom's users are listed
+    once per sweep and the nonzero codes updated in one flat array. Atoms
+    used by no signal are replaced by the worst-represented signal, the
+    largest column of R.
 
     Returns (D, Gamma, replaced) with ``replaced`` the dead-atom count.
     """
@@ -161,11 +165,12 @@ def ksvd_update(X: np.ndarray, D: np.ndarray, Gamma: np.ndarray):
     D = np.array(D, dtype=np.float64)
     Gamma = np.array(Gamma, dtype=np.float64)
     R = X - D @ Gamma
-    m = D.shape[1]
+    atoms, cols = np.nonzero(Gamma)
+    values = Gamma[atoms, cols]
+    bounds = np.searchsorted(atoms, np.arange(D.shape[1] + 1))
     replaced = 0
-    for j in range(m):
-        users = np.flatnonzero(Gamma[j, :] != 0)
-        if users.size == 0:
+    for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if lo == hi:
             worst = int(np.argmax(np.sum(R * R, axis=0)))
             col = X[:, worst]
             norm = np.linalg.norm(col)
@@ -173,14 +178,19 @@ def ksvd_update(X: np.ndarray, D: np.ndarray, Gamma: np.ndarray):
                 D[:, j] = col / norm
                 replaced += 1
             continue
-        E = R[:, users] + np.outer(D[:, j], Gamma[j, users])
+        users = cols[lo:hi]
+        # C-ordered E from take: BLAS rounds F-ordered R[:, users] differently
+        E = R.take(users, axis=1)
+        E += D[:, j, None] * values[lo:hi]
         triplet = _top_singular_triplet(E)
         if triplet is None:
             continue
         u, s, v = triplet
         D[:, j] = u
-        Gamma[j, users] = s * v
-        R[:, users] = E - np.outer(u, Gamma[j, users])
+        g = values[lo:hi] = s * v
+        E -= u[:, None] * g
+        R[:, users] = E
+    Gamma[atoms, cols] = values
     return D, Gamma, replaced
 
 

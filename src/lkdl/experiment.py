@@ -59,6 +59,8 @@ LEARNER_DEFAULTS = {
     "type": "per_class", "m_per_class": 50, "q": 5, "iterations": 5,
     "method": "ksvd", "alpha": 1.0, "beta": 1.0, "variant": 2, "tau2": 1e-4,
 }
+#: The ``learner`` keys that only the ``lcksvd`` learner reads.
+LCKSVD_KEYS = ("alpha", "beta", "variant", "tau2")
 
 
 #: Keys of the ``dataset`` and ``corruption`` sections that ``load_split``
@@ -101,6 +103,12 @@ class ExperimentConfig:
         _check_keys("top-level", raw, [
             f.name for f in fields(cls) if f.name not in sampler_fields
         ] + ["sampler"])
+        if "dataset" not in raw:
+            raise ValueError("the config has no dataset section")
+        for name in ("dataset", "kernel", "sampler", "learner", "corruption"):
+            if not isinstance(raw.get(name, {}), dict):
+                raise ValueError(f"the {name} section must be a mapping, "
+                                 f"not {type(raw[name]).__name__}")
         kernel = raw.pop("kernel", {})
         _check_keys("kernel", kernel, [f.name for f in fields(KernelSpec)])
         sampler = raw.pop("sampler", {})
@@ -119,6 +127,11 @@ class ExperimentConfig:
             raise ValueError("corruption takes one of gaussian_sigma and "
                              "missing_fraction, not both")
         _check_keys("learner", cfg.learner, LEARNER_DEFAULTS)
+        learner_type = cfg.learner.get("type", "per_class")
+        for key in LCKSVD_KEYS:
+            if key in cfg.learner and learner_type != "lcksvd":
+                raise ValueError(f"the {learner_type} learner does not read "
+                                 f"learner key {key!r}; only lcksvd does")
         if cfg.pipeline not in ("linear", "lkdl", "kernel_baseline"):
             raise ValueError(f"unknown pipeline: {cfg.pipeline!r}")
         if cfg.repeats < 1:

@@ -49,6 +49,14 @@ def test_apply_overrides_nested_and_typed():
     assert out["learner"] == {"q": 2}
 
 
+def test_apply_overrides_refuses_a_section_that_is_not_a_mapping():
+    # as ExperimentConfig.from_dict does, not with a TypeError
+    with pytest.raises(
+        ValueError, match="the kernel section must be a mapping, not str"
+    ):
+        apply_overrides({"kernel": "gaussian"}, ["kernel.kind=linear"])
+
+
 def test_apply_overrides_rejects_missing_equals():
     with pytest.raises(SystemExit):
         apply_overrides({}, ["novalue"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -305,6 +307,85 @@ def _planted_ksvd_case(p, n, m, q, seed, dead=0, duplicates=False):
     return X, D, Gamma
 
 
+# Reference: the kept-residual K-SVD sweep as it was before each atom's
+# users were listed once per sweep, verbatim: it scanned Gamma's row for
+# every atom and gathered and rewrote R with fancy indexing. The sweep must
+# reproduce it bit for bit.
+
+def _kept_residual_top_singular_triplet(E: np.ndarray):
+    """Dominant singular triplet (u, s, v) of E, or None when E is zero.
+
+    Power iteration on M^4, M the Gram matrix of E on its smaller side
+    (E E^T when E has no more rows than columns, else E^T E) scaled to unit
+    trace, so one step is four alternating steps on E. It starts from E's
+    largest column and stops when a step moves the iterate by less than
+    1e-10, or after 250 steps (1000 alternating steps)."""
+    energy = np.einsum("ij,ij->j", E, E)
+    start = int(np.argmax(energy))
+    if energy[start] == 0:
+        return None
+    rows = E.shape[0] <= E.shape[1]
+    M = (E @ E.T if rows else E.T @ E) / float(energy.sum())
+    # on the E^T E side, E's largest column enters as E^T E e_start
+    x = E[:, start] if rows else M[:, start]
+    x = x / math.sqrt(x @ x)
+    M = M @ M
+    M = M @ M
+    for _ in range(250):
+        y = M @ x
+        s = math.sqrt(y @ y)
+        if s == 0:
+            break
+        y /= s
+        d = y - x
+        x = y
+        if math.sqrt(d @ d) < 1e-10:
+            break
+    w = E.T @ x if rows else E @ x
+    s = math.sqrt(w @ w)
+    if s == 0:
+        return None
+    return (x, s, w / s) if rows else (w / s, s, x)
+
+
+def _kept_residual_ksvd_update(X: np.ndarray, D: np.ndarray, Gamma: np.ndarray):
+    """Sequential atom-by-atom update: each atom and its coefficient row are
+    replaced by the rank-1 factorization of the residual restricted to the
+    signals that use the atom (``_top_singular_triplet``). Supports are
+    unchanged. The residual R = X - D Gamma is formed once and kept current:
+    after atom j changes only its users' columns are rewritten. Atoms used
+    by no signal are replaced by the worst-represented signal, the largest
+    column of R.
+
+    Returns (D, Gamma, replaced) with ``replaced`` the dead-atom count.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    D = np.array(D, dtype=np.float64)
+    Gamma = np.array(Gamma, dtype=np.float64)
+    R = X - D @ Gamma
+    m = D.shape[1]
+    replaced = 0
+    for j in range(m):
+        users = np.flatnonzero(Gamma[j, :] != 0)
+        if users.size == 0:
+            worst = int(np.argmax(np.sum(R * R, axis=0)))
+            col = X[:, worst]
+            norm = np.linalg.norm(col)
+            if norm > 0:
+                D[:, j] = col / norm
+                replaced += 1
+            continue
+        E = R[:, users] + np.outer(D[:, j], Gamma[j, users])
+        triplet = _kept_residual_top_singular_triplet(E)
+        if triplet is None:
+            continue
+        u, s, v = triplet
+        D[:, j] = u
+        Gamma[j, users] = s * v
+        R[:, users] = E - np.outer(u, Gamma[j, users])
+    return D, Gamma, replaced
+
+
 # (p, n, m, q, dead, duplicates): q = 1 has disjoint supports, q > 1
 # overlapping ones; p = 6 puts most atoms on the E E^T side, p = 30 all of
 # them on the E^T E side, p = 8 and 12 both sides within one update
@@ -357,6 +438,50 @@ def test_ksvd_update_is_no_farther_from_the_svd_than_the_reference(
         assert max(np.max(np.abs(D1 - Ds)), np.max(np.abs(G1 - Gs))) <= max(
             np.max(np.abs(D0 - Ds)), np.max(np.abs(G0 - Gs))
         ) + 1e-12
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("make", [_random_ksvd_case, _planted_ksvd_case])
+@pytest.mark.parametrize("p, n, m, q, dead, duplicates", _KSVD_CASES)
+def test_ksvd_update_is_bitwise_the_kept_residual_sweep(
+    p, n, m, q, dead, duplicates, make, order
+):
+    for seed in range(5):
+        X, D, Gamma = (
+            np.asarray(a, order=order)
+            for a in make(p, n, m, q, seed, dead, duplicates)
+        )
+        D0, G0, replaced0 = _kept_residual_ksvd_update(X, D, Gamma)
+        D1, G1, replaced1 = ksvd_update(X, D, Gamma)
+        assert replaced1 == replaced0
+        assert np.array_equal(D1, D0)
+        assert np.array_equal(G1, G0)
+
+
+def test_ksvd_update_of_an_atom_with_one_user_is_bitwise_the_reference():
+    X, D, Gamma = _random_ksvd_case(5, 12, 4, 2, seed=3)
+    Gamma[1] = 0.0
+    Gamma[1, 7] = 0.7
+    D0, G0, replaced0 = _kept_residual_ksvd_update(X, D, Gamma)
+    D1, G1, replaced1 = ksvd_update(X, D, Gamma)
+    assert replaced1 == replaced0 == 0
+    assert np.array_equal(D1, D0)
+    assert np.array_equal(G1, G0)
+    assert np.count_nonzero(G1[1]) == 1
+
+
+def test_ksvd_update_writing_an_exact_zero_is_bitwise_the_reference():
+    # signal 0 is atom 1's exactly, so atom 0's residual vanishes on it and
+    # atom 0 gets the coefficient 0.0 there; atom 1 still sees signal 0
+    X = np.array([[1.0, 0.0], [0.0, 3.0]])
+    D = np.array([[0.0, 1.0], [1.0, 0.0]])
+    Gamma = np.array([[0.5, 3.0], [1.0, 0.0]])
+    D0, G0, replaced0 = _kept_residual_ksvd_update(X, D, Gamma)
+    D1, G1, replaced1 = ksvd_update(X, D, Gamma)
+    assert replaced1 == replaced0 == 0
+    assert np.array_equal(D1, D0)
+    assert np.array_equal(G1, G0)
+    assert G1[0, 0] == 0.0 and G1[1, 0] == 1.0
 
 
 # ----------------------------------------------------------------- learning

@@ -88,6 +88,26 @@ def test_config_validation():
         _mixture_config(corruption=corruption)
 
 
+def test_config_without_dataset_section_is_refused():
+    # refused by name, not as a KeyError
+    with pytest.raises(ValueError, match="the config has no dataset section"):
+        ExperimentConfig.from_dict({})
+    with pytest.raises(ValueError, match="the config has no dataset section"):
+        ExperimentConfig.from_dict({"kernel": {"kind": "linear"}, "k": 4})
+
+
+@pytest.mark.parametrize("section", [
+    "dataset", "kernel", "sampler", "learner", "corruption",
+])
+@pytest.mark.parametrize("value, kind", [("gaussian", "str"), (None, "NoneType")])
+def test_config_section_that_is_not_a_mapping_is_refused(section, value, kind):
+    # refused by name, not read key by key as a string's letters
+    with pytest.raises(
+        ValueError, match=f"the {section} section must be a mapping, not {kind}"
+    ):
+        _mixture_config(**{section: value})
+
+
 def test_load_split_normalize_gives_unit_columns():
     plain = _mixture_config()
     plain_train, plain_test = load_split(plain)
@@ -383,6 +403,41 @@ def test_pipelines_share_learner_defaults(monkeypatch):
         with pytest.raises(_Stop):
             run_single(cfg, train, test, seed=0)
     assert seen == {"kernel_baseline": (50, 5, 5), "per_class": (50, 5, 5)}
+
+
+@pytest.mark.parametrize("pipeline, learner_type", [
+    ("lkdl", None), ("lkdl", "per_class"), ("kernel_baseline", None),
+])
+@pytest.mark.parametrize("key", ["alpha", "beta", "variant", "tau2"])
+def test_lcksvd_keys_refused_for_other_learners(pipeline, learner_type, key):
+    # per_class and the kernel baseline never read LC-KSVD's weights
+    learner = {"m_per_class": 8, "q": 1, "iterations": 2, key: 1}
+    if learner_type is not None:
+        learner["type"] = learner_type
+    with pytest.raises(ValueError, match=(
+        f"the per_class learner does not read learner key '{key}'; "
+        "only lcksvd does"
+    )):
+        _mixture_config(pipeline=pipeline, learner=learner)
+
+
+def test_lcksvd_reads_its_own_learner_keys(monkeypatch):
+    seen = {}
+
+    def lcksvd_train(F, labels, m_per_class, q, alpha, beta, iterations,
+                     variant, tau2, seed):
+        seen.update(alpha=alpha, beta=beta, variant=variant, tau2=tau2)
+        raise _Stop
+
+    monkeypatch.setattr(experiment._lcksvd, "train", lcksvd_train)
+    keys = {"alpha": 0.5, "beta": 2.0, "variant": 1, "tau2": 1e-3}
+    cfg = _mixture_config(learner={
+        "type": "lcksvd", "m_per_class": 8, "q": 1, "iterations": 1, **keys,
+    })
+    train, test = load_split(cfg)
+    with pytest.raises(_Stop):
+        run_single(cfg, train, test, seed=0)
+    assert seen == keys
 
 
 def test_run_sweep_c_over_n_rows(tmp_path):
