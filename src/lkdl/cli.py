@@ -100,9 +100,8 @@ def _output_dir(cfg) -> Path:
 
 def cmd_preprocess(cfg, args) -> int:
     train, test, seed = _split_and_seed(cfg)
-    nmap, F_train, F_test = experiment.preprocess(
-        cfg, train.samples, test.samples, seed
-    )
+    X_test = experiment.apply_corruption(cfg, test.samples, seed)
+    nmap, F_train, F_test = experiment.preprocess(cfg, train.samples, X_test, seed)
     out = _output_dir(cfg)
     serialization.save_nystrom_map(nmap, out / "nystrom_map.lkdl")
     np.save(out / "F_train.npy", F_train)
@@ -128,7 +127,6 @@ def cmd_train(cfg, args) -> int:
         nmap, F_train, _ = experiment.preprocess(
             cfg, train.samples, test.samples, seed
         )
-    # an unknown learner type raises here, before anything is written
     model = experiment.train_learner(cfg, F_train, train.labels, seed)
     out = _output_dir(cfg)
     if nmap is not None:
@@ -233,8 +231,12 @@ def cmd_approx_error(cfg, args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a refusal exits with one line, not a traceback."""
     args = build_parser().parse_args(argv)
-    return args.run(load_config(args), args)
+    try:
+        return args.run(load_config(args), args)
+    except ValueError as exc:
+        raise SystemExit(f"lkdl: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -53,15 +53,13 @@ CSV_FIELDS = [
     "accuracy", "t_preprocess", "t_train", "t_test",
 ]
 
-#: Defaults of the ``learner`` config keys, shared by every learner and by
-#: the kernel baseline.
-LEARNER_DEFAULTS = {
-    "type": "per_class", "m_per_class": 50, "q": 5, "iterations": 5,
-    "method": "ksvd", "alpha": 1.0, "beta": 1.0, "variant": 2, "tau2": 1e-4,
+#: The learner types, each with the ``learner`` keys it reads and their
+#: defaults. The ``kernel_baseline`` pipeline trains ``per_class``.
+LEARNERS = {
+    "per_class": {"m_per_class": 50, "q": 5, "iterations": 5, "method": "ksvd"},
+    "lcksvd": {"m_per_class": 50, "q": 5, "iterations": 5, "alpha": 1.0,
+               "beta": 1.0, "variant": 2, "tau2": 1e-4},
 }
-#: The ``learner`` keys that only the ``lcksvd`` learner reads.
-LCKSVD_KEYS = ("alpha", "beta", "variant", "tau2")
-
 
 #: Keys of the ``dataset`` and ``corruption`` sections that ``load_split``
 #: and ``apply_corruption`` read. A run applies one corruption kind.
@@ -69,12 +67,17 @@ DATASET_KEYS = (
     "synthetic", "n_per_class", "n_classes", "p", "radii", "noise_sigma",
     "seed", "train", "test", "normalize", "train_fraction",
 )
+#: A ``train`` or ``test`` part is a CSV file, or IDX images and labels.
+PART_KEYS = ("csv", "label_column", "header", "images", "labels")
 CORRUPTION_KINDS = ("gaussian_sigma", "missing_fraction")
 CORRUPTION_KEYS = (*CORRUPTION_KINDS, "renormalize")
 
 
-def _check_keys(section: str, given: dict, known) -> None:
-    """Refuse a key of a config section that no run reads."""
+def _check_keys(section: str, given, known) -> None:
+    """Refuse a config section that is not a mapping, or a key no run reads."""
+    if not isinstance(given, dict):
+        raise ValueError(f"the {section} section must be a mapping, "
+                         f"not {type(given).__name__}")
     unknown = [key for key in given if key not in known]
     if unknown:
         raise ValueError(f"unknown {section} key {unknown[0]!r}; known "
@@ -83,6 +86,8 @@ def _check_keys(section: str, given: dict, known) -> None:
 
 @dataclass
 class ExperimentConfig:
+    """One run's settings, checked whenever a config is built or replaced."""
+
     dataset: dict
     kernel: KernelSpec = field(default_factory=KernelSpec)
     sampler_method: str = "uniform"
@@ -96,6 +101,38 @@ class ExperimentConfig:
     seed: int = 0
     output_dir: str = "out"
 
+    def __post_init__(self):
+        _check_keys("dataset", self.dataset, DATASET_KEYS)
+        for split in (s for s in ("train", "test") if s in self.dataset):
+            part = self.dataset[split]
+            _check_keys(f"dataset.{split}", part, PART_KEYS)
+            if "csv" not in part and not {"images", "labels"} <= part.keys():
+                raise ValueError(f"dataset.{split} takes csv, or images and labels")
+        _check_keys("corruption", self.corruption, CORRUPTION_KEYS)
+        if all(kind in self.corruption for kind in CORRUPTION_KINDS):
+            raise ValueError("corruption takes one of gaussian_sigma and "
+                             "missing_fraction, not both")
+        if self.pipeline not in ("linear", "lkdl", "kernel_baseline"):
+            raise ValueError(f"unknown pipeline: {self.pipeline!r}")
+        if self.repeats < 1:
+            raise ValueError("repeats must be >= 1")
+        if self.c_fraction is not None and not 0.0 < self.c_fraction <= 1.0:
+            raise ValueError("c_fraction must lie in (0, 1]")
+        _check_keys("learner", self.learner, ["type", *dict.fromkeys(
+            key for keys in LEARNERS.values() for key in keys)])
+        learner_type = self.learner.get("type", "per_class")
+        if self.pipeline == "kernel_baseline" and learner_type != "per_class":
+            raise ValueError("pipeline 'kernel_baseline' takes only the "
+                             f"'per_class' learner, not {learner_type!r}")
+        if not isinstance(learner_type, str) or learner_type not in LEARNERS:
+            raise ValueError(f"unknown learner type: {learner_type!r}")
+        for key in self.learner:
+            readers = [name for name, keys in LEARNERS.items() if key in keys]
+            if key != "type" and learner_type not in readers:
+                raise ValueError(f"the {learner_type} learner does not read learner "
+                                 f"key {key!r}; only {', '.join(readers)} does")
+        check_update_method(self.learner.get("method", "ksvd"))
+
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         raw = dict(raw)
@@ -105,40 +142,17 @@ class ExperimentConfig:
         ] + ["sampler"])
         if "dataset" not in raw:
             raise ValueError("the config has no dataset section")
-        for name in ("dataset", "kernel", "sampler", "learner", "corruption"):
-            if not isinstance(raw.get(name, {}), dict):
-                raise ValueError(f"the {name} section must be a mapping, "
-                                 f"not {type(raw[name]).__name__}")
         kernel = raw.pop("kernel", {})
         _check_keys("kernel", kernel, [f.name for f in fields(KernelSpec)])
         sampler = raw.pop("sampler", {})
         _check_keys("sampler", sampler, ("method", "c", "c_fraction"))
-        cfg = cls(
-            dataset=raw.pop("dataset"),
+        return cls(
             kernel=KernelSpec(**kernel),
             sampler_method=sampler.get("method", "uniform"),
             c=sampler.get("c"),
             c_fraction=sampler.get("c_fraction"),
             **raw,
         )
-        _check_keys("dataset", cfg.dataset, DATASET_KEYS)
-        _check_keys("corruption", cfg.corruption, CORRUPTION_KEYS)
-        if all(kind in cfg.corruption for kind in CORRUPTION_KINDS):
-            raise ValueError("corruption takes one of gaussian_sigma and "
-                             "missing_fraction, not both")
-        _check_keys("learner", cfg.learner, LEARNER_DEFAULTS)
-        learner_type = cfg.learner.get("type", "per_class")
-        for key in LCKSVD_KEYS:
-            if key in cfg.learner and learner_type != "lcksvd":
-                raise ValueError(f"the {learner_type} learner does not read "
-                                 f"learner key {key!r}; only lcksvd does")
-        if cfg.pipeline not in ("linear", "lkdl", "kernel_baseline"):
-            raise ValueError(f"unknown pipeline: {cfg.pipeline!r}")
-        if cfg.repeats < 1:
-            raise ValueError("repeats must be >= 1")
-        if cfg.c_fraction is not None and not 0.0 < cfg.c_fraction <= 1.0:
-            raise ValueError("c_fraction must lie in (0, 1]")
-        return cfg
 
     def landmark_count(self, n_train: int) -> int:
         if self.c is not None:
@@ -295,34 +309,20 @@ def kernel_baseline_classify(
 
 
 def train_learner(config: ExperimentConfig, F_train, y_train, seed: int):
-    """Train the model the config names on feature columns: the ``learner``
-    section's ``type`` (``per_class`` or ``lcksvd``), or for the
-    ``kernel_baseline`` pipeline, whose features are the raw samples, the
-    exact-kernel per-class model (``per_class`` only; it runs kernel MOD
-    for either update method)."""
-    s = {**LEARNER_DEFAULTS, **config.learner}
+    """Train the config's learner type on feature columns, with the defaults
+    of ``LEARNERS`` for the keys it omits; for the ``kernel_baseline``
+    pipeline, whose features are the raw samples, the exact-kernel per-class
+    model (kernel MOD for either update method)."""
+    learner_type = config.learner.get("type", "per_class")
+    settings = {key: config.learner.get(key, default)
+                for key, default in LEARNERS[learner_type].items()}
     if config.pipeline == "kernel_baseline":
-        if s["type"] != "per_class":
-            raise ValueError(
-                "pipeline 'kernel_baseline' takes only the 'per_class' "
-                f"learner, not {s['type']!r}"
-            )
-        check_update_method(s["method"])
-        return kernel_baseline_train(
-            F_train, y_train, config.kernel, m_per_class=s["m_per_class"],
-            q=s["q"], iterations=s["iterations"], seed=seed,
-        )
-    if s["type"] == "per_class":
-        return train_per_class(
-            F_train, y_train, s["m_per_class"], s["q"], s["iterations"],
-            method=s["method"], seed=seed,
-        )
-    if s["type"] == "lcksvd":
-        return _lcksvd.train(
-            F_train, y_train, s["m_per_class"], s["q"], s["alpha"], s["beta"],
-            s["iterations"], variant=s["variant"], tau2=s["tau2"], seed=seed,
-        )
-    raise ValueError(f"unknown learner type: {s['type']!r}")
+        del settings["method"]
+        return kernel_baseline_train(F_train, y_train, config.kernel,
+                                     **settings, seed=seed)
+    if learner_type == "lcksvd":
+        return _lcksvd.train(F_train, y_train, **settings, seed=seed)
+    return train_per_class(F_train, y_train, **settings, seed=seed)
 
 
 def predict(model, F) -> np.ndarray:
@@ -399,32 +399,31 @@ SWEEP_AXES = ("c_over_N", "k", "noise_sigma", "missing_fraction", "train_fractio
 
 
 def run_sweep(config: ExperimentConfig, axis: str, values: list[float]) -> list[dict]:
-    """One experiment per axis value; rows carry the axis value prepended."""
+    """One experiment per axis value; rows carry the axis value prepended.
+    Every value's config is built, and so checked, before the first run."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis: {axis!r}")
     if not values:
         raise ValueError("sweep values list is empty")
     if axis == "k" and not all(float(v).is_integer() and v >= 1 for v in values):
         raise ValueError(f"sweep axis k takes integers >= 1, got {values}")
-    rows = []
+    configs = []
     for value in values:
-        cfg = replace(config)
         if axis == "c_over_N":
-            cfg.c, cfg.c_fraction = None, float(value)
+            changes = {"c": None, "c_fraction": float(value)}
         elif axis == "k":
-            cfg.k = int(value)
+            changes = {"k": int(value)}
         elif axis in ("noise_sigma", "missing_fraction"):
             # the axis's corruption kind replaces the configured one
             kind = "gaussian_sigma" if axis == "noise_sigma" else axis
-            cfg.corruption = {key: v for key, v in config.corruption.items()
-                              if key not in CORRUPTION_KINDS}
-            cfg.corruption[kind] = float(value)
+            corruption = {key: v for key, v in config.corruption.items()
+                          if key not in CORRUPTION_KINDS}
+            changes = {"corruption": {**corruption, kind: float(value)}}
         else:
-            cfg.dataset = {**config.dataset, "train_fraction": float(value)}
-        report = run_experiment(cfg)
-        for row in report.rows:
-            rows.append({axis: value, **row})
-    return rows
+            changes = {"dataset": {**config.dataset, "train_fraction": float(value)}}
+        configs.append(replace(config, **changes))
+    return [{axis: value, **row} for value, cfg in zip(values, configs)
+            for row in run_experiment(cfg).rows]
 
 
 def write_csv(rows: list[dict], path) -> None:

@@ -152,7 +152,7 @@ def test_train_refuses_unknown_learner_type(mixture_config, tmp_path):
     # an unknown learner type must not fall back to another learner, and
     # nothing (not even the map) is written before the refusal
     out = tmp_path / "model_dir"
-    with pytest.raises(ValueError, match="unknown learner type: 'foo'"):
+    with pytest.raises(SystemExit, match="unknown learner type: 'foo'"):
         main(["train", "--config", str(mixture_config), "--out", str(out),
               "--set", "learner.type=foo"])
     assert not list(tmp_path.rglob("*.lkdl"))
@@ -161,7 +161,7 @@ def test_train_refuses_unknown_learner_type(mixture_config, tmp_path):
 def test_experiment_refuses_misspelled_learner_key(mixture_config, tmp_path):
     # a misspelled key must not run with the default it meant to override
     out = tmp_path / "exp_dir"
-    with pytest.raises(ValueError, match="unknown learner key 'iteration'"):
+    with pytest.raises(SystemExit, match="unknown learner key 'iteration'"):
         main(["experiment", "--config", str(mixture_config), "--out", str(out),
               "--set", "learner.iteration=3"])
     assert not out.exists()
@@ -170,26 +170,84 @@ def test_experiment_refuses_misspelled_learner_key(mixture_config, tmp_path):
 def test_experiment_refuses_misspelled_dataset_key(mixture_config, tmp_path):
     # a misspelled key must not load the default 500 samples per class
     out = tmp_path / "exp_dir"
-    with pytest.raises(ValueError, match="unknown dataset key 'n_per_clas'"):
+    with pytest.raises(SystemExit, match="unknown dataset key 'n_per_clas'"):
         main(["experiment", "--config", str(mixture_config), "--out", str(out),
               "--set", "dataset.n_per_clas=10"])
     assert not out.exists()
 
 
-@pytest.mark.parametrize("method", ["ksvd", "mod"])
-@pytest.mark.parametrize("learner, column", [
-    ("per_class", "residual"),
-    ("lcksvd", "score"),
+class _Loaded(Exception):
+    pass
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (["learner.type=lcksv"], "unknown learner type: 'lcksv'"),
+    (["learner.method=kvsd"], "unknown dictionary update method: 'kvsd'"),
+    (["learner.type=lcksvd", "learner.method=mod"],
+     "the lcksvd learner does not read learner key 'method'"),
+    (["learner.alpha=2"], "the per_class learner does not read learner key 'alpha'"),
+    (["pipeline=kernel_baseline", "learner.type=lcksvd"],
+     "pipeline 'kernel_baseline' takes only the 'per_class' learner"),
+])
+def test_refused_learner_configs_load_no_data(
+    mixture_config, tmp_path, monkeypatch, overrides, message
+):
+    # each refusal comes from building the config, before any data loads
+    def load_split(cfg):
+        raise _Loaded
+
+    monkeypatch.setattr(experiment, "load_split", load_split)
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    with pytest.raises(SystemExit, match=f"^lkdl: {message}"):
+        main(["experiment", "--config", str(mixture_config),
+              "--out", str(tmp_path / "exp_dir")] + sets)
+    with pytest.raises(_Loaded):
+        main(["experiment", "--config", str(mixture_config),
+              "--out", str(tmp_path / "exp_dir")])
+
+
+def test_refused_config_exits_with_one_line(tmp_path):
+    # a refusal is the reason on one line, not a ValueError traceback
+    config = tmp_path / "config.yaml"
+    config.write_text("k: 4\n")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["experiment", "--config", str(config), "--out", str(tmp_path)])
+    assert excinfo.value.code == "lkdl: the config has no dataset section"
+
+
+def test_preprocess_maps_the_corrupted_test_set(mixture_config, tmp_path):
+    # as experiment and classify do, preprocess corrupts the test samples
+    # before mapping them
+    out, corruption = tmp_path / "pre", "corruption.gaussian_sigma=0.5"
+    assert main(["preprocess", "--config", str(mixture_config),
+                 "--out", str(out), "--set", corruption]) == 0
+    raw = apply_overrides(yaml.safe_load(mixture_config.read_text()),
+                          [corruption])
+    cfg = experiment.ExperimentConfig.from_dict(raw)
+    _, test = experiment.load_split(cfg)
+    seed = experiment.derive_seeds(cfg.seed, 1)[0]
+    X_test = experiment.apply_corruption(cfg, test.samples, seed)
+    assert not np.array_equal(X_test, test.samples)
+    nmap = serialization.load_nystrom_map(out / "nystrom_map.lkdl")
+    assert np.array_equal(np.load(out / "F_test.npy"), nystrom.transform(nmap, X_test))
+
+
+@pytest.mark.parametrize("learner, column, method", [
+    ("per_class", "residual", "ksvd"),
+    ("per_class", "residual", "mod"),
+    ("lcksvd", "score", None),
 ])
 @pytest.mark.parametrize("pipeline", ["linear", "lkdl"])
 def test_train_classify_accuracy_equals_run_single(
     mixture_config, tmp_path, pipeline, learner, column, method
 ):
     # q = 2: K-SVD runs on overlapping supports through train -> save ->
-    # load -> classify; the linear pipeline has no map to pass
+    # load -> classify; the linear pipeline has no map to pass. LC-KSVD
+    # always updates with K-SVD and refuses a method key.
     overrides = [f"pipeline={pipeline}", f"learner.type={learner}",
-                 "learner.m_per_class=4", "learner.q=2",
-                 f"learner.method={method}"]
+                 "learner.m_per_class=4", "learner.q=2"]
+    if method is not None:
+        overrides.append(f"learner.method={method}")
     sets = [arg for item in overrides for arg in ("--set", item)]
     model_dir, pred_dir = tmp_path / "model_dir", tmp_path / "pred_dir"
     assert main(["train", "--config", str(mixture_config),

@@ -1,6 +1,8 @@
 import json
+import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -329,25 +331,76 @@ def test_lkdl_with_every_sample_a_landmark_classifies_as_the_baseline(
 def test_kernel_baseline_refuses_other_learners(learner_type):
     # the exact-kernel baseline is the per-class learner on raw samples; any
     # other learner type must not silently run it
-    cfg = _mixture_config(
-        pipeline="kernel_baseline",
-        learner={"type": learner_type, "m_per_class": 8, "q": 1, "iterations": 2},
-    )
-    train, test = load_split(cfg)
     with pytest.raises(ValueError, match="kernel_baseline"):
-        run_single(cfg, train, test, seed=0)
+        _mixture_config(
+            pipeline="kernel_baseline",
+            learner={"type": learner_type, "m_per_class": 8, "q": 1,
+                     "iterations": 2},
+        )
+
 
 @pytest.mark.parametrize("pipeline", ["lkdl", "kernel_baseline"])
 def test_unknown_update_method_refused(pipeline):
     # the exact-kernel baseline runs kernel MOD for ksvd and mod alike, but
     # refuses a method no pipeline knows, as learn does
-    cfg = _mixture_config(
-        pipeline=pipeline,
-        learner={"method": "foo", "m_per_class": 8, "q": 1, "iterations": 2},
-    )
-    train, test = load_split(cfg)
     with pytest.raises(ValueError, match="unknown dictionary update method: 'foo'"):
-        run_single(cfg, train, test, seed=0)
+        _mixture_config(
+            pipeline=pipeline,
+            learner={"method": "foo", "m_per_class": 8, "q": 1, "iterations": 2},
+        )
+
+
+@pytest.mark.parametrize("method", ["ksvd", "mod"])
+def test_lcksvd_refuses_the_update_method_key(method):
+    # LC-KSVD always updates with K-SVD: a method key would change nothing
+    with pytest.raises(ValueError, match=(
+        "the lcksvd learner does not read learner key 'method'; "
+        "only per_class does"
+    )):
+        _mixture_config(learner={"type": "lcksvd", "method": method})
+
+
+@pytest.mark.parametrize("learner_type", ["lcksv", ["lcksvd"]])
+def test_unknown_learner_type_refused(learner_type):
+    # a list is refused by name too, not with an unhashable-type TypeError
+    with pytest.raises(ValueError, match=(
+        f"unknown learner type: {re.escape(repr(learner_type))}"
+    )):
+        _mixture_config(learner={"type": learner_type})
+
+
+def test_config_built_directly_or_replaced_is_checked():
+    # the checks run on every construction, not only in from_dict
+    with pytest.raises(ValueError, match="unknown pipeline: 'lkdll'"):
+        replace(_mixture_config(), pipeline="lkdll")
+    with pytest.raises(ValueError, match="unknown learner type: 'lcksv'"):
+        ExperimentConfig(dataset={}, learner={"type": "lcksv"})
+    with pytest.raises(ValueError, match="repeats must be >= 1"):
+        ExperimentConfig(dataset={}, repeats=0)
+    with pytest.raises(ValueError, match="the learner section must be a mapping"):
+        ExperimentConfig(dataset={}, learner="lcksvd")
+    cfg = ExperimentConfig(dataset={}, pipeline="linear", learner={"q": 2})
+    assert replace(cfg, k=4).k == 4
+
+
+@pytest.mark.parametrize("part, message", [
+    ({"csv": "train.csv", "label_colum": 1},
+     "unknown dataset.train key 'label_colum'"),
+    ({"images": "train-images.idx"},
+     "dataset.train takes csv, or images and labels"),
+    ({}, "dataset.train takes csv, or images and labels"),
+    ("train.csv", "the dataset.train section must be a mapping, not str"),
+])
+def test_dataset_part_is_checked(part, message):
+    # a misspelled key would fall back to label column 0, and a part with
+    # no file would fail at load with a KeyError
+    test = {"images": "test-images.idx", "labels": "test-labels.idx"}
+    with pytest.raises(ValueError, match=message):
+        _mixture_config(dataset={"train": part, "test": test})
+    ExperimentConfig(dataset={
+        "train": {"csv": "train.csv", "label_column": 1, "header": True},
+        "test": test,
+    })
 
 
 @pytest.mark.parametrize("pipeline, learner_type", [
@@ -502,6 +555,18 @@ def test_lcksvd_refuses_more_atoms_than_samples_where_per_class_caps():
     message = f"m={2 * n_class + 2} atoms exceed N={train.n} training samples"
     with pytest.raises(ValueError, match=message):
         experiment.train_learner(cfg, train.samples, train.labels, seed=0)
+
+
+def test_run_sweep_checks_every_value_before_the_first_run(monkeypatch):
+    # a value out of range is refused before any value's data loads
+    def load_split(cfg):
+        raise _Stop
+
+    monkeypatch.setattr(experiment, "load_split", load_split)
+    with pytest.raises(ValueError, match=r"c_fraction must lie in \(0, 1\]"):
+        run_sweep(_mixture_config(), "c_over_N", [0.2, 1.5])
+    with pytest.raises(_Stop):
+        run_sweep(_mixture_config(), "c_over_N", [0.2, 1.0])
 
 
 def test_run_sweep_rejects_bad_axis_and_empty_values():
