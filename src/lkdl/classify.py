@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dict_learning import learn
+from .kernels import _BLOCK
 # ``omp_batch`` is re-exported: code that looks up ``classify.omp_batch``,
 # such as the benchmark's tracer tests, keeps working
 from .sparse_coding import omp_batch  # noqa: F401
@@ -77,10 +78,13 @@ def class_residuals(model: ClassDictionaryModel, F: np.ndarray) -> np.ndarray:
             f"({model.space_dim})"
         )
     norms2 = np.sum(F * F, axis=0)
-    return np.stack([
-        residual_energies(D.T @ F, D.T @ D, norms2, model.q)
-        for D in model.dictionaries
-    ])
+    res = np.empty((model.n_classes, F.shape[1]))
+    for r, D in zip(res, model.dictionaries):
+        G = D.T @ D
+        for start in range(0, F.shape[1], _BLOCK):
+            cols = slice(start, start + _BLOCK)
+            r[cols] = residual_energies(D.T @ F[:, cols], G, norms2[cols], model.q)
+    return res
 
 
 def classify_batch(model: ClassDictionaryModel, F: np.ndarray) -> np.ndarray:

@@ -74,8 +74,19 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
 
 
 def load_config(args) -> experiment.ExperimentConfig:
-    with open(args.config) as fh:
-        raw = yaml.safe_load(fh) or {}
+    """The config file with the command line's overrides; a file that cannot
+    be read, is not YAML or holds no mapping is refused with a ValueError."""
+    try:
+        with open(args.config) as fh:
+            raw = yaml.safe_load(fh) or {}
+    except OSError as exc:
+        raise ValueError(f"cannot read config {args.config}: {exc.strerror}") from None
+    except yaml.YAMLError as exc:
+        reason = " ".join(str(exc).split())
+        raise ValueError(f"config {args.config} is not YAML: {reason}") from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"config {args.config} must be a mapping, "
+                         f"not {type(raw).__name__}")
     raw = apply_overrides(raw, args.overrides)
     cfg = experiment.ExperimentConfig.from_dict(raw)
     if args.seed is not None:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -47,6 +48,9 @@ from .sparse_coding import komp  # noqa: F401
 from .sparse_coding import residual_energies
 
 RNG_NAME = "numpy-PCG64"
+#: Environment variables that set the BLAS thread count, as the manifest
+#: records them (unset ones as null).
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 CSV_FIELDS = [
     "pipeline", "kernel", "sampler", "c_over_N", "k", "repeat",
@@ -172,7 +176,15 @@ def derive_seeds(master_seed: int, count: int) -> list[int]:
 
 
 def load_split(config: ExperimentConfig):
-    """Materialize (train, test) LabeledDatasets from the config."""
+    """Materialize (train, test) LabeledDatasets from the config. A
+    corruption section that names no kind, only ``renormalize``, is refused
+    first: a noise_sigma or missing_fraction sweep fills the kind in for
+    each of its runs, but a run on its own has none."""
+    if config.corruption and not any(k in config.corruption for k in CORRUPTION_KINDS):
+        raise ValueError(
+            "the corruption section names no kind; give gaussian_sigma or "
+            "missing_fraction, or sweep noise_sigma or missing_fraction"
+        )
     ds = config.dataset
     kind = ds.get("synthetic")
     if kind == "circles":
@@ -440,7 +452,8 @@ def write_csv(rows: list[dict], path) -> None:
 
 
 def write_manifest(config: ExperimentConfig, path, extra: dict | None = None) -> None:
-    """Machine-readable run manifest: config echo, RNG, version, timestamp."""
+    """Machine-readable run manifest: config echo, RNG, version, timestamp,
+    and the BLAS thread settings and CPU count the run saw."""
     from . import __version__
 
     payload = {
@@ -448,6 +461,8 @@ def write_manifest(config: ExperimentConfig, path, extra: dict | None = None) ->
         "rng": RNG_NAME,
         "library_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "cpu_count": os.cpu_count(),
     }
     if extra:
         payload.update(extra)

@@ -4,6 +4,12 @@ The fitted map holds the landmark set X_R and the top-k eigenpairs of
 W = K(X_R, X_R). A sample x maps to f = Sigma_k^{-1/2} V_k^T K(X_R, x), so
 that f^T f' approximates kappa(x, x'). The exact (full-eigendecomposition)
 path is kept as a reference for tests and for the c = N configuration.
+
+Which solver runs: when k is given and c >= LANCZOS_C_PER_K k, block
+Lanczos computes only the top k pairs (``_lanczos_top``), after a Cholesky
+factorization of W + PSD_RTOL tr(W) I has shown W is not indefinite. For
+k = None, for larger k, and in the rare case that Lanczos has not converged
+within c/2 basis vectors, a full ``eigh`` computes every pair.
 """
 
 from __future__ import annotations
@@ -20,6 +26,22 @@ from .sampling import LandmarkSet, SamplerSpec, select_landmarks
 EIG_RTOL = 1e-10
 #: Relative (to the trace) tolerance for negative eigenvalues of a kernel matrix.
 PSD_RTOL = 1e-8
+#: Lanczos block size, at most: each pass multiplies W by this many vectors
+#: at once, and an eigenvalue repeated up to this many times among the top k
+#: is found as surely as a simple one.
+LANCZOS_BLOCK = 4
+#: Lanczos stops once every one of the top k Ritz pairs has a residual norm
+#: of at most this fraction of the largest Ritz value. A new basis vector
+#: whose norm before normalization is at most this fraction of the largest
+#: ||W q|| seen marks an invariant subspace; a fresh start vector replaces it.
+LANCZOS_RTOL = 1e-13
+#: The top-k path runs when c is at least this many times k. On perfbench's
+#: W at one BLAS thread (``scalebench/topk.py``, ``BENCH_26_topk.json``)
+#: Lanczos took 0.5-0.8 of the full eigh's time at c/k = 16 and 0.7-1.06
+#: at 12, but 0.95-1.14 at c/k = 8-10 for c = 400 and 1.13-1.37 at 8 for
+#: c = 800. With c/2 basis vectors, its limit, it costs about one to two
+#: eighs, which a fallback adds to the eigh's own time.
+LANCZOS_C_PER_K = 12
 
 
 @dataclass
@@ -52,20 +74,109 @@ class NystromMap:
         return self.X_R.shape[0]
 
 
+def _indefinite(context: str, min_eigenvalue: float) -> ValueError:
+    return ValueError(f"{context}: matrix is numerically indefinite "
+                      f"(min eigenvalue {min_eigenvalue:.3e})")
+
+
+def _next_block(Z, Q, floor, rng):
+    """Orthonormal rows spanning the rows of Z, which are orthogonal to the
+    rows of Q up to rounding. A row that loses more than half its norm to
+    the rows before it is projected off Q and them again, since what is left
+    of it along Q grows relative to it; a row whose norm falls to ``floor``
+    or below is replaced by a fresh random direction orthogonal to both."""
+    out = np.empty_like(Z)
+    for i, z in enumerate(Z):
+        before = np.linalg.norm(z)
+        z = z - (out[:i] @ z) @ out[:i]
+        norm = np.linalg.norm(z)
+        if norm < before / 2:
+            if norm <= floor:
+                z = rng.standard_normal(z.size)
+            for _ in range(2):
+                z -= (Q @ z) @ Q
+                z -= (out[:i] @ z) @ out[:i]
+            norm = np.linalg.norm(z)
+        out[i] = z / norm
+    return out
+
+
+def _lanczos_top(K: np.ndarray, k: int):
+    """Top-k eigenpairs (values descending, vectors as columns) of the
+    symmetric c x c matrix K by block Lanczos with full reorthogonalization
+    (Golub & Van Loan, Matrix Computations), or None if they have not
+    converged once the basis holds c/2 vectors.
+
+    The basis grows from a fixed pseudo-random block, so a repeated call
+    gives identical results. Each pass multiplies K by the newest block,
+    orthogonalizes the product against the whole basis twice and keeps the
+    coefficients: they are the rows of H = Q K Q^T, the Rayleigh quotient
+    the Ritz pairs come from. A Ritz pair's residual is the part of K Q^T s
+    outside the basis, which only the newest product holds.
+    """
+    c = K.shape[0]
+    b = min(LANCZOS_BLOCK, k)
+    limit = c // 2
+    rng = np.random.default_rng(0)
+    Q = np.empty((limit, c))  # rows: the orthonormal basis
+    H = np.zeros((limit, limit))  # lower triangle: Q K Q^T
+    Q[:b] = np.linalg.qr(rng.standard_normal((c, b)))[0].T
+    j0, check, scale = 0, k, 0.0
+    while True:
+        j1 = j0 + b
+        Z = Q[j0:j1] @ K
+        scale = max(scale, np.linalg.norm(Z, axis=1).max())
+        for _ in range(2):
+            h = Z @ Q[:j1].T
+            Z -= h @ Q[:j1]
+            H[j0:j1, :j1] += h
+        last = j1 + b > limit
+        if j1 >= check or last:
+            theta, S = np.linalg.eigh(H[:j1, :j1])  # reads the lower triangle
+            theta, S = theta[: -k - 1 : -1], S[:, : -k - 1 : -1]
+            worst = np.linalg.norm(S[j0:j1].T @ Z, axis=1).max()
+            tolerance = LANCZOS_RTOL * max(theta[0], 0.0)
+            if worst <= tolerance:
+                return theta, Q[:j1].T @ S
+            check = j1 + max(b, max(k, j1) // 2)  # the basis grows by half
+        if last:
+            return None
+        Q[j1 : j1 + b] = _next_block(Z, Q[:j1], LANCZOS_RTOL * scale, rng)
+        j0 = j1
+
+
 def _top_eigpairs(K: np.ndarray, k: int | None, context: str):
     """Top-k eigenpairs of a symmetric PSD matrix, descending, with the
     numerical-rank cutoff applied; k = None keeps every pair above the
-    cutoff. Returns (values, vectors, truncated)."""
+    cutoff. Returns (values, vectors, truncated).
+
+    With k given and c >= LANCZOS_C_PER_K k, only the top k pairs are computed
+    (``_lanczos_top``); the rank cutoff is then read from them, which
+    decides the same truncation. An indefinite matrix is refused on either
+    path: from the full spectrum, or when the Cholesky factorization of
+    K + PSD_RTOL tr(K) I fails, which happens iff its least eigenvalue is
+    below -PSD_RTOL tr(K), up to rounding."""
     K = np.asarray(K, dtype=np.float64)
     Ks = (K + K.T) / 2.0
-    w, V = np.linalg.eigh(Ks)
-    w, V = w[::-1], V[:, ::-1]
+    c = Ks.shape[0]
     tr = max(np.trace(Ks), np.finfo(float).tiny)
-    if w[-1] < -PSD_RTOL * tr:
-        raise ValueError(
-            f"{context}: matrix is numerically indefinite "
-            f"(min eigenvalue {w[-1]:.3e})"
-        )
+    pairs = None
+    if k is not None and LANCZOS_C_PER_K * k <= c:
+        shifted = Ks.copy()
+        shifted.flat[:: c + 1] += PSD_RTOL * tr
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            raise _indefinite(context, np.linalg.eigvalsh(Ks)[0]) from None
+        del shifted
+        pairs = _lanczos_top(Ks, k)
+    if pairs is None:
+        w, V = np.linalg.eigh(Ks)
+        w, V = w[::-1], V[:, ::-1]
+        if w[-1] < -PSD_RTOL * tr:
+            raise _indefinite(context, w[-1])
+    else:
+        w, V = pairs
     cutoff = EIG_RTOL * max(w[0], 0.0)
     keep = w > cutoff
     rank = int(np.count_nonzero(keep))

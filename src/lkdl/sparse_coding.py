@@ -5,8 +5,9 @@ dictionary A (feature-space atoms Phi(X) a_j).
 Both run one batch pursuit over (correlations, atom Gram, signal
 energies): pick the atom with the largest absolute correlation to the
 residual (lowest index on ties), re-solve least squares on the support,
-repeat until the code has q atoms or the residual is zero. Single-signal
-calls are batches of one.
+repeat until the code has q atoms or the residual is at rounding level
+(``STOP_RTOL`` of the signal's energy). Single-signal calls are batches of
+one.
 
 Every code is a least-squares fit on its support, so the pursuit tracks
 its residual energy as ||x||^2 - c_S^T gamma_S, in either inner product;
@@ -19,6 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+#: A code stops once its residual energy is at most this fraction of its
+#: signal's: below it the next atom would be chosen by rounding noise, and
+#: the choice would follow the BLAS reduction order.
+STOP_RTOL = 1e-12
 
 
 @dataclass
@@ -49,10 +55,11 @@ def _batch_pursuit(
     of its support Gram by one row, so the Python loop runs min(q, m) times.
     A cardinality q < 1 is refused.
 
-    A column stops when its residual energy drops to zero, when its best
-    correlation is exactly 0 after the first atom, or when the new pivot
-    is not positive (singular support Gram): that atom is dropped, the
-    previous code kept and the column flagged degenerate.
+    A column stops when its residual energy drops to ``STOP_RTOL`` of its
+    signal energy or below, when its best correlation is exactly 0 after
+    the first atom, or when the new pivot is not positive (singular support
+    Gram): that atom is dropped, the previous code kept and the column
+    flagged degenerate.
 
     Returns (support, values, size, rnorm2, degenerate): row i holds column
     i's atoms in selection order and their coefficients in its first
@@ -127,7 +134,7 @@ def _batch_pursuit(
         values[act, : s + 1] = gam[:, : s + 1]
         size[act] = s + 1
         rnorm2[act] = r
-        going = r > 0.0
+        going = r > STOP_RTOL * norms2[act]
         if not going.all():
             keep_only(going)
     return support, values, size, rnorm2, degenerate

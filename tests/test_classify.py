@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,10 +13,38 @@ from lkdl.classify import (
 )
 from lkdl.datasets import split_per_class, synth_circles
 from lkdl.experiment import kernel_baseline_train
-from lkdl.kernels import KernelSpec
+from lkdl.kernels import _BLOCK, KernelSpec
 from lkdl.lcksvd import train as lcksvd_train
 from lkdl.nystrom import fit, transform
 from lkdl.sampling import SamplerSpec
+from lkdl.sparse_coding import residual_energies
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK, 2 * _BLOCK + 3])
+def test_class_residuals_equal_the_one_shot_pursuit(n):
+    X, y = _two_subspace_data(seed=3, n=30)
+    model = train_per_class(X, y, m_per_class=6, q=2, iterations=2, seed=1)
+    F = np.random.default_rng(4).standard_normal((4, n))
+    one_shot = np.stack([
+        residual_energies(D.T @ F, D.T @ D, np.sum(F * F, axis=0), model.q)
+        for D in model.dictionaries
+    ])
+    assert np.array_equal(class_residuals(model, F), one_shot)
+
+
+def test_class_residuals_scratch_does_not_grow_with_the_test_set():
+    # 20000 test columns against 40 atoms per class: one 40 x N product
+    # alone would take 6.4 MB
+    X, y = _two_subspace_data(seed=5, n=60)
+    model = train_per_class(X, y, m_per_class=40, q=2, iterations=1, seed=2)
+    F = np.random.default_rng(6).standard_normal((4, 20_000))
+    tracemalloc.start()
+    try:
+        class_residuals(model, F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def _two_subspace_data(seed=0, n=40):

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import lkdl
 from lkdl import experiment, lcksvd, nystrom, serialization
 from lkdl.classify import class_residuals
 from lkdl.cli import apply_overrides, main
@@ -213,6 +218,60 @@ def test_refused_config_exits_with_one_line(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["experiment", "--config", str(config), "--out", str(tmp_path)])
     assert excinfo.value.code == "lkdl: the config has no dataset section"
+
+
+@pytest.mark.parametrize("text, reason", [
+    (None, "cannot read config {path}: No such file or directory"),
+    ("dataset: [1, 2\n", "config {path} is not YAML: "),
+    ("- 1\n- 2\n", "config {path} must be a mapping, not list"),
+])
+def test_unreadable_config_exits_with_one_line(tmp_path, text, reason):
+    # a missing file, a file that is not YAML and one that holds no mapping
+    # each end in one `lkdl: <reason>` line with exit status 1
+    config = tmp_path / "config.yaml"
+    if text is not None:
+        config.write_text(text)
+    expected = "lkdl: " + reason.format(path=config)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["experiment", "--config", str(config), "--out", str(tmp_path)])
+    assert excinfo.value.code.startswith(expected)
+    assert "\n" not in excinfo.value.code
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(lkdl.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "lkdl.cli", "experiment", "--config", str(config)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(expected) and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["preprocess"], ["train"], ["classify", "--model", "model.lkdl"],
+    ["experiment"], ["approx-error"], ["sweep", "--axis", "k", "--values", "4"],
+])
+def test_corruption_without_a_kind_is_refused_before_data_loads(
+    mixture_config, tmp_path, monkeypatch, command
+):
+    # only a noise_sigma or missing_fraction sweep fills in the kind
+    def draw(*args, **kwargs):
+        raise _Loaded
+
+    monkeypatch.setattr(experiment._datasets, "synth_gaussian_mixture", draw)
+    with pytest.raises(SystemExit, match="^lkdl: the corruption section names no kind"):
+        main(command + ["--config", str(mixture_config), "--out", str(tmp_path),
+                        "--set", "corruption.renormalize=true"])
+
+
+def test_sweep_fills_in_the_corruption_kind(mixture_config, tmp_path):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(mixture_config), "--out", str(out),
+                 "--axis", "noise_sigma", "--values", "0.1,0.2",
+                 "--set", "corruption.renormalize=false"]) == 0
+    with (out / "sweep.csv").open() as fh:
+        assert [row["noise_sigma"] for row in csv.DictReader(fh)] == ["0.1", "0.2"]
 
 
 def test_preprocess_maps_the_corrupted_test_set(mixture_config, tmp_path):

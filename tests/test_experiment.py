@@ -1,12 +1,17 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lkdl
 from lkdl import experiment
 from lkdl.experiment import (
     CSV_FIELDS,
@@ -607,6 +612,40 @@ def test_write_csv_and_manifest(tmp_path):
     assert config["k"] == 8 and config["dataset"]["radii"] == [1.0, 2.5]
 
 
+def test_manifest_records_the_blas_threads_and_cpu_count(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    path = tmp_path / "manifest.json"
+    write_manifest(_mixture_config(), path)
+    payload = json.loads(path.read_text())
+    assert payload["threads"] == {"OPENBLAS_NUM_THREADS": "3",
+                                  "OMP_NUM_THREADS": "2",
+                                  "MKL_NUM_THREADS": None}
+    assert payload["cpu_count"] == os.cpu_count()
+
+
+def test_corruption_without_a_kind_is_refused_before_data_loads(monkeypatch):
+    def draw(*args, **kwargs):
+        raise AssertionError("data loaded")
+
+    monkeypatch.setattr(experiment._datasets, "synth_gaussian_mixture", draw)
+    cfg = _mixture_config(corruption={"renormalize": True})
+    with pytest.raises(ValueError, match="names no kind"):
+        load_split(cfg)
+    with pytest.raises(ValueError, match="names no kind"):
+        run_experiment(cfg)
+    with pytest.raises(ValueError, match="names no kind"):
+        run_sweep(cfg, "k", [4, 8])
+
+
+def test_corruption_sweeps_fill_in_the_kind():
+    cfg = _mixture_config(corruption={"renormalize": True})
+    for axis in ("noise_sigma", "missing_fraction"):
+        rows = run_sweep(cfg, axis, [0.1])
+        assert [row[axis] for row in rows] == [0.1]
+
+
 def test_corruption_config_dispatch():
     cfg = _mixture_config(
         corruption={"gaussian_sigma": 0.1, "renormalize": False}
@@ -646,3 +685,47 @@ def test_unknown_synthetic_dataset_rejected():
     cfg.dataset = {"synthetic": "bogus"}
     with pytest.raises(ValueError, match="synthetic"):
         load_split(cfg)
+
+
+# The predictions of one run_single call, printed as a JSON list; run in a
+# fresh interpreter, since the BLAS thread count is fixed when numpy loads.
+_PREDICTIONS_SCRIPT = """
+import json, sys
+from lkdl import experiment
+cfg = experiment.ExperimentConfig.from_dict(json.loads(sys.argv[1]))
+train, test = experiment.load_split(cfg)
+predict, seen = experiment.predict, []
+experiment.predict = lambda model, F: seen.append(predict(model, F)) or seen[-1]
+experiment.run_single(cfg, train, test, 7)
+print(json.dumps(seen[-1].tolist()))
+"""
+
+
+def _predictions_at(threads: int, raw: dict) -> list:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(lkdl.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _PREDICTIONS_SCRIPT, json.dumps(raw)],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_predictions_do_not_depend_on_the_blas_thread_count():
+    # four overlapping classes in p = 2 with perfbench's lkdl_q3 sizes
+    # (N = 2000, c = 400, k = 24, q = 3): BLAS products this large split
+    # across threads. When codes ran on below rounding level, 16 of these
+    # 2000 predictions differed between one and two threads
+    raw = {
+        "dataset": {"synthetic": "gaussian_mixture", "n_per_class": 500,
+                    "n_classes": 4, "p": 2, "seed": 3},
+        "kernel": {"kind": "gaussian", "sigma": 4.0},
+        "sampler": {"method": "kmeans", "c_fraction": 0.2},
+        "k": 24,
+        "learner": {"m_per_class": 30, "q": 3, "iterations": 5},
+    }
+    assert _predictions_at(1, raw) == _predictions_at(2, raw)

@@ -3,10 +3,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lkdl.kernels import _BLOCK, KernelSpec, kernel_matrix
 from lkdl.nystrom import (
     EIG_RTOL,
+    LANCZOS_BLOCK,
+    LANCZOS_C_PER_K,
+    _lanczos_top,
+    _next_block,
+    _top_eigpairs,
     approximation_error,
     exact_virtual_samples,
     fit,
@@ -194,3 +201,146 @@ def test_k_larger_than_c_rejected():
     X = _rand(3, 10)
     with pytest.raises(ValueError, match="exceeds"):
         fit(X, GAUSS, SamplerSpec(method="uniform", c=4, seed=0), k=5)
+
+
+# Top-k path: block Lanczos when c >= LANCZOS_C_PER_K k, checked against
+# the full eigh.
+
+
+def _full_eigh(K, k):
+    w, V = np.linalg.eigh((K + K.T) / 2.0)
+    return w[::-1][:k], V[:, ::-1][:, :k]
+
+
+def _assert_top_pairs(K, k, w, V):
+    """Values within 1e-12 of the full eigh's (relative to the largest),
+    orthonormal vectors and eigenpair residuals at rounding level."""
+    ref, _ = _full_eigh(K, k)
+    scale = ref[0]
+    assert w.shape == (k,) and V.shape == (K.shape[0], k)
+    assert np.max(np.abs(w - ref)) <= 1e-12 * scale
+    assert np.allclose(V.T @ V, np.eye(k), atol=1e-12)
+    assert np.max(np.linalg.norm(K @ V - V * w, axis=0)) <= 1e-10 * scale
+
+
+def _psd_with_spectrum(values, seed):
+    c = len(values)
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((c, c)))
+    K = (Q * values) @ Q.T
+    return (K + K.T) / 2.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    c=st.integers(150, 250),
+    k_fraction=st.floats(0.02, 1 / LANCZOS_C_PER_K),
+    top=st.integers(1, 2 * LANCZOS_BLOCK),
+    spread=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]),
+    decay=st.floats(0.5, 0.8),
+)
+def test_top_k_path_matches_full_eigh_with_repeated_and_clustered_tops(
+    seed, c, k_fraction, top, spread, decay
+):
+    # `top` leading eigenvalues equal (spread 0) or clustered within
+    # `spread`, the rest decaying geometrically from half of them, as a
+    # Gaussian kernel's do; Lanczos converges on such spectra
+    k = max(1, int(k_fraction * c))
+    values = np.concatenate([1.0 - spread * np.arange(top),
+                             0.5 * decay ** np.arange(c - top)])
+    K = _psd_with_spectrum(values, seed)
+    pairs = _lanczos_top(K, k)
+    assert pairs is not None
+    _assert_top_pairs(K, k, *pairs)
+    w, V, truncated = _top_eigpairs(K, k, "test")
+    assert not truncated and np.array_equal(w, pairs[0])
+    if values[k - 1] - values[k] > 1e-3:
+        _, U = _full_eigh(K, k)
+        assert np.allclose(V @ V.T, U @ U.T, atol=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), c=st.integers(20, 100), rank=st.integers(1, 12))
+def test_top_k_path_below_rank_warns_and_keeps_the_rank(seed, c, rank):
+    # rank < k <= c / LANCZOS_C_PER_K: the same warning and effective k as
+    # the full path
+    k = rank + 1 + seed % 5
+    c = max(c, LANCZOS_C_PER_K * k)
+    B = np.random.default_rng(seed).standard_normal((c, rank))
+    K = B @ B.T
+    with pytest.warns(UserWarning, match=f"exceeds numerical rank {rank};"):
+        w, V, truncated = _top_eigpairs(K, k, "test")
+    assert truncated and w.shape == (rank,)
+    _assert_top_pairs(K, rank, w, V)
+
+
+@pytest.mark.parametrize("copies", [2, 3, 5])
+def test_top_k_path_with_duplicated_landmarks(copies):
+    # every landmark repeated: W has rank c / copies and repeated rows
+    X = np.tile(_rand(4, 120 // copies + 1, seed=copies), copies)[:, :120]
+    W = kernel_matrix(GAUSS, X, X)
+    rank = _numerical_rank(W)
+    k = min(10, rank)
+    w, V, truncated = _top_eigpairs(W, k, "test")
+    assert not truncated
+    _assert_top_pairs(W, k, w, V)
+    nmap = fit_from_landmarks(LandmarkSet(X), GAUSS, k)
+    assert np.array_equal(nmap.sigma_k, w)
+
+
+def test_top_k_path_refuses_an_indefinite_matrix():
+    # (x.y - 1)^3 is no Mercer kernel: its matrix has eigenvalues far below
+    # -PSD_RTOL tr(W), and k = 4 of c = 60 takes the top-k path
+    kernel = KernelSpec(kind="polynomial", degree=3, coef0=-1.0)
+    X = _rand(3, 60, seed=21)
+    W = kernel_matrix(kernel, X, X)
+    assert np.linalg.eigvalsh(W)[0] < -1e-3 * np.trace(W)
+    with pytest.raises(ValueError, match="indefinite"):
+        _top_eigpairs(W, 4, "test")
+    with pytest.raises(ValueError, match="indefinite"):
+        fit_from_landmarks(LandmarkSet(X), kernel, 4)
+
+
+def test_top_k_path_repeats_bit_identically():
+    X = _rand(6, 200, seed=22)
+    W = kernel_matrix(GAUSS, X, X)
+    first = _top_eigpairs(W, 16, "test")
+    second = _top_eigpairs(W, 16, "test")
+    assert np.array_equal(first[0], second[0])
+    assert np.array_equal(first[1], second[1])
+    _assert_top_pairs(W, 16, first[0], first[1])
+
+
+def test_unconverged_lanczos_falls_back_to_the_full_eigh():
+    # 192 eigenvalues within 1e-9 of each other: Lanczos cannot resolve the
+    # top 16 to its tolerance within c / 2 basis vectors, and eigh does
+    c, k = 192, 16
+    assert LANCZOS_C_PER_K * k <= c
+    K = _psd_with_spectrum(1.0 + 1e-9 * np.linspace(0.0, 1.0, c), seed=23)
+    assert _lanczos_top(K, k) is None
+    w, V, _ = _top_eigpairs(K, k, "test")
+    ref_w, ref_V = _full_eigh(K, k)
+    assert np.array_equal(w, ref_w) and np.array_equal(V, ref_V)
+
+
+def test_next_block_keeps_a_nearly_dependent_row_off_the_basis():
+    # the second row is the first plus 1e-10 of a new direction, and both
+    # hold 1e-16 along the basis Q, as rounding leaves them: projected off
+    # the first row alone, the second would keep ~1e-6 of its norm along Q
+    rng = np.random.default_rng(24)
+    Q = np.linalg.qr(rng.standard_normal((60, 10)))[0].T
+    z, d = rng.standard_normal((2, 60))
+    z -= (Q @ z) @ Q
+    d -= (Q @ d) @ Q
+    Z = np.stack([z, z + 1e-10 * d]) + 1e-16 * rng.standard_normal((2, 10)) @ Q
+    out = _next_block(Z, Q, 1e-13, rng)
+    assert np.max(np.abs(out @ Q.T)) <= 1e-14
+    assert np.allclose(out @ out.T, np.eye(2), rtol=0.0, atol=1e-14)
+
+
+def test_the_identity_takes_the_top_k_path_through_restarts():
+    # every Lanczos product lies in the basis: each block is replaced by
+    # fresh directions, and every Ritz pair is exact up to rounding
+    w, V = _lanczos_top(np.eye(40), 10)
+    assert np.allclose(w, 1.0, rtol=0.0, atol=1e-14)
+    assert np.allclose(V.T @ V, np.eye(10), atol=1e-14)

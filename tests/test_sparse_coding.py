@@ -99,6 +99,18 @@ def test_omp_recovers_single_atom():
     assert code.residual_norm == pytest.approx(0.0, abs=1e-10)
 
 
+def test_a_signal_equal_to_an_atom_gets_exactly_one_atom():
+    # scaled atoms leave a residual energy of rounding size after their own
+    # atom; the pursuit stops there instead of adding atoms picked by noise
+    rng = np.random.default_rng(0)
+    D = _unit_dictionary(16, 40)
+    X = D * rng.uniform(0.5, 3.0, 40)
+    Gamma = omp_batch(D, X, 4)
+    assert np.array_equal(np.count_nonzero(Gamma, axis=0), np.ones(40))
+    assert np.allclose(Gamma[np.arange(40), np.arange(40)], X[0] / D[0])
+    assert all(omp(D, X[:, i], 4).support.tolist() == [i] for i in range(40))
+
+
 def test_omp_orthogonal_signal_selects_one_zero_atom():
     # x orthogonal to every atom: one atom is still selected (lowest index
     # among the zero correlations) with coefficient 0, residual = ||x||
