@@ -10,11 +10,11 @@ the k-means landmarks of run seed 7. For c/k in RATIOS the script times, in
 one process with one BLAS thread (median of REPEATS calls each):
 
 - ``eigh_s``: the full ``np.linalg.eigh`` of W, which the parent used;
-- ``lanczos_s``: the top-k path alone, the Cholesky check and
-  ``_lanczos_top``, also where the library would not take it, and whether
-  that returned None (not converged within c/2 basis vectors);
-- ``library_s``: ``_top_eigpairs`` itself, on whichever path it takes
-  (``path``), fallback included.
+- ``lanczos_s``: ``_lanczos_top`` alone, on W symmetrized beforehand as
+  ``_top_eigpairs`` does, also where the library would not take it, and
+  whether it returned None (not converged within c/2 basis vectors);
+- ``library_s``: ``_top_eigpairs`` itself, called as ``fit_from_landmarks``
+  calls it, on whichever path it takes (``path``), fallback included.
 
 ``LANCZOS_C_PER_K`` was set from these rows; one row each side of it shows
 the switch. It is not the gated benchmark; ``perfbench/`` is.
@@ -59,12 +59,6 @@ def rows():
     from lkdl.kernels import kernel_matrix
     from lkdl.sampling import SamplerSpec, select_landmarks
 
-    def lanczos(W, k):
-        shifted = (W + W.T) / 2.0
-        shifted.flat[:: W.shape[0] + 1] += nystrom.PSD_RTOL * np.trace(W)
-        np.linalg.cholesky(shifted)
-        return nystrom._lanczos_top((W + W.T) / 2.0, k)
-
     for name in WORKLOADS:
         workload = bench.WORKLOADS[name]
         for seed in DATA_SEEDS:
@@ -74,11 +68,13 @@ def rows():
             X_R = select_landmarks(train.samples, spec, bench.KERNEL).X_R
             W = kernel_matrix(bench.KERNEL, X_R, X_R)
             eigh_s, _ = median_time(lambda: np.linalg.eigh(W))
+            Ws = (W + W.T) / 2.0  # as _top_eigpairs passes it
             for ratio in RATIOS:
                 k = c // ratio
-                lanczos_s, pairs = median_time(lambda: lanczos(W, k))
+                lanczos_s, pairs = median_time(
+                    lambda: nystrom._lanczos_top(Ws, k))
                 library_s, _ = median_time(
-                    lambda: nystrom._top_eigpairs(W, k, "W"))
+                    lambda: nystrom._top_eigpairs(W, k, "W", psd=True))
                 yield {
                     "workload": name, "data_seed": seed, "c": c, "k": k,
                     "path": ("lanczos" if nystrom.LANCZOS_C_PER_K * k <= c

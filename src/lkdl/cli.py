@@ -97,9 +97,10 @@ def load_config(args) -> experiment.ExperimentConfig:
 
 
 def _split_and_seed(cfg):
-    """The configured train/test split and the first run seed, as
-    ``experiment`` uses them for repeat 0."""
+    """The configured train/test split, refused if a sample is not finite,
+    and the first run seed, as ``experiment`` uses them for repeat 0."""
     train, test = experiment.load_split(cfg)
+    experiment.check_split(train, test)
     return train, test, experiment.derive_seeds(cfg.seed, 1)[0]
 
 
@@ -112,7 +113,8 @@ def _output_dir(cfg) -> Path:
 def cmd_preprocess(cfg, args) -> int:
     train, test, seed = _split_and_seed(cfg)
     X_test = experiment.apply_corruption(cfg, test.samples, seed)
-    nmap, F_train, F_test = experiment.preprocess(cfg, train.samples, X_test, seed)
+    nmap, F_train = experiment.preprocess(cfg, train.samples, seed)
+    F_test = nystrom.transform(nmap, X_test)
     out = _output_dir(cfg)
     serialization.save_nystrom_map(nmap, out / "nystrom_map.lkdl")
     np.save(out / "F_train.npy", F_train)
@@ -132,12 +134,10 @@ def cmd_train(cfg, args) -> int:
             "lkdl train: pipeline 'kernel_baseline' has no model container; "
             "run it end to end with 'lkdl experiment'"
         )
-    train, test, seed = _split_and_seed(cfg)
+    train, _, seed = _split_and_seed(cfg)
     nmap, F_train = None, train.samples
     if cfg.pipeline == "lkdl":
-        nmap, F_train, _ = experiment.preprocess(
-            cfg, train.samples, test.samples, seed
-        )
+        nmap, F_train = experiment.preprocess(cfg, train.samples, seed)
     model = experiment.train_learner(cfg, F_train, train.labels, seed)
     out = _output_dir(cfg)
     if nmap is not None:

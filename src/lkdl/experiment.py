@@ -40,7 +40,9 @@ from . import datasets as _datasets
 from . import lcksvd as _lcksvd
 from . import nystrom as _nystrom
 from .dict_learning import check_update_method, kernel_mod_learn
-from .kernels import _BLOCK, KernelSpec, kernel_diagonal, kernel_matrix
+from .kernels import (
+    _BLOCK, KernelSpec, _check_samples, kernel_diagonal, kernel_matrix,
+)
 from .sampling import SamplerSpec
 # ``komp`` is re-exported: code that looks up ``experiment.komp``, such as
 # the benchmark's tracer, keeps working
@@ -250,18 +252,20 @@ def apply_corruption(
     raise ValueError(f"unknown corruption: {corruption!r}")
 
 
-def preprocess(
-    config: ExperimentConfig,
-    X_train: np.ndarray,
-    X_test: np.ndarray,
-    seed: int,
-):
+def check_split(train, test) -> None:
+    """Refuse a split with a non-finite sample, before any pipeline runs."""
+    _check_samples(train.samples, "the training set")
+    _check_samples(test.samples, "the test set")
+
+
+def preprocess(config: ExperimentConfig, X_train: np.ndarray, seed: int):
     """Virtual-sample pre-processing: fit the landmark embedding on the
-    train set and map both sets. Returns (nmap, F_train, F_test)."""
+    train set and map it. Returns (nmap, F_train); ``nystrom.transform``
+    maps any other set, such as the test set."""
     c = config.landmark_count(X_train.shape[1])
     sampler = SamplerSpec(method=config.sampler_method, c=c, seed=seed)
     nmap = _nystrom.fit(X_train, config.kernel, sampler, min(config.k, c))
-    return nmap, _nystrom.transform(nmap, X_train), _nystrom.transform(nmap, X_test)
+    return nmap, _nystrom.transform(nmap, X_train)
 
 
 @dataclass
@@ -348,14 +352,15 @@ def predict(model, F) -> np.ndarray:
 
 def run_single(config: ExperimentConfig, train, test, seed: int) -> dict:
     """One pipeline run; returns a CSV-row dict."""
+    check_split(train, test)
     X_test = apply_corruption(config, test.samples, seed)
-    n_train = train.n
 
     # features: the raw samples, or for lkdl the virtual samples
     F_train, F_test, t_pre = train.samples, X_test, 0.0
     if config.pipeline == "lkdl":
         t0 = time.monotonic()
-        _, F_train, F_test = preprocess(config, F_train, F_test, seed)
+        nmap, F_train = preprocess(config, F_train, seed)
+        F_test = _nystrom.transform(nmap, F_test)
         t_pre = time.monotonic() - t0
     t1 = time.monotonic()
     model = train_learner(config, F_train, train.labels, seed)
@@ -368,7 +373,7 @@ def run_single(config: ExperimentConfig, train, test, seed: int) -> dict:
         "pipeline": config.pipeline,
         "kernel": config.kernel.kind,
         "sampler": config.sampler_method,
-        "c_over_N": round(config.c_over_n(n_train), 6),
+        "c_over_N": round(config.c_over_n(train.n), 6),
         "k": config.k,
         "repeat": 0,
         "accuracy": accuracy,

@@ -1,12 +1,14 @@
 """Mercer kernel evaluation and kernel-matrix construction.
 
-Supported kernels: linear, homogeneous polynomial ``(x.y + coef0)^degree``
-(coef0 defaults to 0) and Gaussian ``exp(-||x-y||^2 / (2 sigma^2))``.
+Supported kernels: linear, polynomial ``(x.y + coef0)^degree`` (integer
+degree >= 1, coef0 >= 0, default 0: the homogeneous form) and Gaussian
+``exp(-||x-y||^2 / (2 sigma^2))``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -24,7 +26,10 @@ class KernelSpec:
     kind is one of "linear", "polynomial", "gaussian". ``degree`` applies to
     the polynomial kernel only, ``sigma`` to the Gaussian only. ``coef0`` is
     an optional additive constant for the polynomial kernel (default 0, i.e.
-    the homogeneous form).
+    the homogeneous form). A polynomial kernel takes an integer degree >= 1
+    and coef0 >= 0: (x.y + coef0)^degree is then a sum of powers of x.y
+    with nonnegative weights, so every kernel matrix a spec builds is
+    positive semidefinite up to rounding.
     """
 
     kind: str = "linear"
@@ -35,10 +40,15 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "polynomial", "gaussian"):
             raise ValueError(f"unknown kernel kind: {self.kind!r}")
-        if self.kind == "polynomial" and self.degree < 1:
-            raise ValueError("polynomial degree must be >= 1")
         if not (np.isfinite(self.sigma) and np.isfinite(self.coef0)):
             raise ValueError("kernel sigma and coef0 must be finite")
+        if self.kind == "polynomial" and not (
+            isinstance(self.degree, Integral) and self.degree >= 1
+            and self.coef0 >= 0
+        ):
+            raise ValueError("a polynomial kernel takes an integer degree >= 1 "
+                             f"and coef0 >= 0, not degree {self.degree!r} and "
+                             f"coef0 {self.coef0!r}")
         if self.kind == "gaussian" and self.sigma <= 0:
             raise ValueError("gaussian sigma must be positive")
 
@@ -51,19 +61,12 @@ def _check_samples(X: np.ndarray, name: str) -> np.ndarray:
 
 
 def kernel_eval(kernel: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
-    """Evaluate kappa(x, y) for a single pair of vectors."""
-    x = _check_samples(np.ravel(x), "x")
-    y = _check_samples(np.ravel(y), "y")
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
+    """Evaluate kappa(x, y) for a single pair of vectors: the one entry of
+    ``kernel_matrix`` on them, so both share one form of each kernel."""
+    x, y = np.ravel(x), np.ravel(y)
     if x.size < 1:
         raise ValueError("empty input vectors")
-    if kernel.kind == "linear":
-        return float(x @ y)
-    if kernel.kind == "polynomial":
-        return float((x @ y + kernel.coef0) ** kernel.degree)
-    d2 = float(np.sum((x - y) ** 2))
-    return float(np.exp(-d2 / (2.0 * kernel.sigma**2)))
+    return float(kernel_matrix(kernel, x[:, None], y[:, None])[0, 0])
 
 
 def kernel_matrix(kernel: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

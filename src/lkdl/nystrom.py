@@ -5,11 +5,14 @@ W = K(X_R, X_R). A sample x maps to f = Sigma_k^{-1/2} V_k^T K(X_R, x), so
 that f^T f' approximates kappa(x, x'). The exact (full-eigendecomposition)
 path is kept as a reference for tests and for the c = N configuration.
 
-Which solver runs: when k is given and c >= LANCZOS_C_PER_K k, block
-Lanczos computes only the top k pairs (``_lanczos_top``), after a Cholesky
-factorization of W + PSD_RTOL tr(W) I has shown W is not indefinite. For
-k = None, for larger k, and in the rare case that Lanczos has not converged
-within c/2 basis vectors, a full ``eigh`` computes every pair.
+Which solver runs: W comes from a ``KernelSpec``, which admits only Mercer
+kernels, so W is positive semidefinite up to rounding. When k is given and
+c >= LANCZOS_C_PER_K k, block Lanczos computes only its top k pairs
+(``_lanczos_top``). For k = None, for larger k, and in the rare case that
+Lanczos has not converged within c/2 basis vectors, a full ``eigh``
+computes every pair. ``exact_virtual_samples`` takes a caller's K, which
+nothing guarantees to be PSD, and always uses the full ``eigh``, which
+refuses an indefinite K at no extra cost.
 """
 
 from __future__ import annotations
@@ -72,11 +75,6 @@ class NystromMap:
     @property
     def p(self) -> int:
         return self.X_R.shape[0]
-
-
-def _indefinite(context: str, min_eigenvalue: float) -> ValueError:
-    return ValueError(f"{context}: matrix is numerically indefinite "
-                      f"(min eigenvalue {min_eigenvalue:.3e})")
 
 
 def _next_block(Z, Q, floor, rng):
@@ -145,36 +143,27 @@ def _lanczos_top(K: np.ndarray, k: int):
         j0 = j1
 
 
-def _top_eigpairs(K: np.ndarray, k: int | None, context: str):
-    """Top-k eigenpairs of a symmetric PSD matrix, descending, with the
+def _top_eigpairs(K: np.ndarray, k: int | None, context: str, psd: bool = False):
+    """Top-k eigenpairs of a symmetric matrix, descending, with the
     numerical-rank cutoff applied; k = None keeps every pair above the
     cutoff. Returns (values, vectors, truncated).
 
-    With k given and c >= LANCZOS_C_PER_K k, only the top k pairs are computed
-    (``_lanczos_top``); the rank cutoff is then read from them, which
-    decides the same truncation. An indefinite matrix is refused on either
-    path: from the full spectrum, or when the Cholesky factorization of
-    K + PSD_RTOL tr(K) I fails, which happens iff its least eigenvalue is
-    below -PSD_RTOL tr(K), up to rounding."""
+    ``psd`` says that K is positive semidefinite by construction, as a
+    ``KernelSpec``'s matrices are. Only then, with k given and
+    c >= LANCZOS_C_PER_K k, are just the top k pairs computed
+    (``_lanczos_top``); the rank cutoff is read from them, which decides the
+    same truncation. The full spectrum refuses a numerically indefinite K."""
     K = np.asarray(K, dtype=np.float64)
     Ks = (K + K.T) / 2.0
-    c = Ks.shape[0]
-    tr = max(np.trace(Ks), np.finfo(float).tiny)
     pairs = None
-    if k is not None and LANCZOS_C_PER_K * k <= c:
-        shifted = Ks.copy()
-        shifted.flat[:: c + 1] += PSD_RTOL * tr
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            raise _indefinite(context, np.linalg.eigvalsh(Ks)[0]) from None
-        del shifted
+    if psd and k is not None and LANCZOS_C_PER_K * k <= Ks.shape[0]:
         pairs = _lanczos_top(Ks, k)
     if pairs is None:
         w, V = np.linalg.eigh(Ks)
         w, V = w[::-1], V[:, ::-1]
-        if w[-1] < -PSD_RTOL * tr:
-            raise _indefinite(context, w[-1])
+        if w[-1] < -PSD_RTOL * max(np.trace(Ks), np.finfo(float).tiny):
+            raise ValueError(f"{context}: matrix is numerically indefinite "
+                             f"(min eigenvalue {w[-1]:.3e})")
     else:
         w, V = pairs
     cutoff = EIG_RTOL * max(w[0], 0.0)
@@ -217,7 +206,8 @@ def fit_from_landmarks(
     """Keep the top-k eigenpairs of W = K(X_R, X_R); k = None keeps all
     above the rank cutoff."""
     W = kernel_matrix(kernel, landmarks.X_R, landmarks.X_R)
-    sigma, V, truncated = _top_eigpairs(W, k, f"{kernel.kind} kernel landmark matrix")
+    sigma, V, truncated = _top_eigpairs(
+        W, k, f"{kernel.kind} kernel landmark matrix", psd=True)
     return NystromMap(
         kernel=kernel,
         X_R=landmarks.X_R.copy(),
@@ -247,7 +237,8 @@ def transform(nmap: NystromMap, X: np.ndarray) -> np.ndarray:
 
 def exact_virtual_samples(K: np.ndarray, k: int) -> np.ndarray:
     """Reference path: rank-k eigendecomposition of the full kernel matrix,
-    F_k = Lambda_k^{1/2} U_k^T, so F^T F reconstructs K at full rank."""
+    F_k = Lambda_k^{1/2} U_k^T, so F^T F reconstructs K at full rank. K is
+    the caller's, so the full ``eigh`` runs and an indefinite K is refused."""
     K = np.asarray(K, dtype=np.float64)
     if K.shape[0] != K.shape[1]:
         raise ValueError("kernel matrix must be square")

@@ -13,6 +13,7 @@ import lkdl
 from lkdl import experiment, lcksvd, nystrom, serialization
 from lkdl.classify import class_residuals
 from lkdl.cli import apply_overrides, main
+from lkdl.datasets import save_csv
 
 
 @pytest.fixture
@@ -141,6 +142,33 @@ def test_train_then_classify_round_trip(mixture_config, tmp_path):
     assert acc >= 0.95
 
 
+def test_train_maps_the_training_set_only(mixture_config, tmp_path, monkeypatch):
+    # the test set is classify's input; train has no use for its features
+    mapped, transform = [], nystrom.transform
+
+    def counted(nmap, X):
+        mapped.append(X.shape[1])
+        return transform(nmap, X)
+
+    monkeypatch.setattr(nystrom, "transform", counted)
+    out = tmp_path / "model_dir"
+    assert main(["train", "--config", str(mixture_config), "--out", str(out)]) == 0
+    cfg = experiment.ExperimentConfig.from_dict(
+        yaml.safe_load(mixture_config.read_text()))
+    train, _ = experiment.load_split(cfg)
+    assert mapped == [train.n]
+    # the written map and model are those of the in-process pipeline
+    seed = experiment.derive_seeds(cfg.seed, 1)[0]
+    nmap, F_train = experiment.preprocess(cfg, train.samples, seed)
+    model = experiment.train_learner(cfg, F_train, train.labels, seed)
+    own = tmp_path / "own"
+    own.mkdir()
+    serialization.save_nystrom_map(nmap, own / "nystrom_map.lkdl")
+    serialization.save_model(model, own / "model.lkdl")
+    for name in ("nystrom_map.lkdl", "model.lkdl"):
+        assert (out / name).read_bytes() == (own / name).read_bytes()
+
+
 def test_train_refuses_kernel_baseline_pipeline(mixture_config, tmp_path):
     # the exact-kernel baseline has no model container; training must not
     # fall back to a linear model on the raw samples
@@ -236,16 +264,81 @@ def test_unreadable_config_exits_with_one_line(tmp_path, text, reason):
         main(["experiment", "--config", str(config), "--out", str(tmp_path)])
     assert excinfo.value.code.startswith(expected)
     assert "\n" not in excinfo.value.code
+    proc = _run_lkdl(["experiment", "--config", str(config)])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(expected) and proc.stderr.count("\n") == 1
+
+
+def _run_lkdl(args):
+    """``lkdl`` with these arguments in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(lkdl.__file__).parents[1]), env.get("PYTHONPATH", "")]
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "lkdl.cli", "experiment", "--config", str(config)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 1
-    assert proc.stderr.startswith(expected) and proc.stderr.count("\n") == 1
+    return subprocess.run([sys.executable, "-m", "lkdl.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("override, shown", [
+    ("kernel.coef0=-1", "degree 2 and coef0 -1"),
+    ("kernel.degree=2.5", "degree 2.5 and coef0 0.0"),
+])
+def test_polynomial_kernel_that_is_no_mercer_kernel_is_refused_before_data_loads(
+    mixture_config, tmp_path, monkeypatch, override, shown
+):
+    # (x.y - 1)^3 gives indefinite matrices; a fractional power of a
+    # negative x.y is NaN, and the map container stores the degree as u32
+    args = ["experiment", "--config", str(mixture_config), "--out",
+            str(tmp_path / "exp_dir"), "--set", "kernel.kind=polynomial",
+            "--set", override]
+    expected = ("lkdl: a polynomial kernel takes an integer degree >= 1 and "
+                f"coef0 >= 0, not {shown}")
+    proc = _run_lkdl(args)
+    assert (proc.returncode, proc.stderr) == (1, expected + "\n")
+
+    def load_split(cfg):
+        raise _Loaded
+
+    monkeypatch.setattr(experiment, "load_split", load_split)
+    with pytest.raises(SystemExit) as excinfo:
+        main(args)
+    assert excinfo.value.code == expected
+    assert not (tmp_path / "exp_dir").exists()
+
+
+@pytest.mark.parametrize("command, part", [
+    (["experiment"], "train"), (["experiment"], "test"),
+    (["preprocess"], "train"), (["train"], "train"),
+    (["classify", "--model", "model.lkdl"], "test"),
+])
+@pytest.mark.parametrize("pipeline", ["linear", "lkdl"])
+def test_non_finite_samples_are_refused_before_any_pipeline_runs(
+    mixture_config, tmp_path, monkeypatch, command, part, pipeline
+):
+    # the split as CSV files, with one NaN in the training or the test set
+    raw = yaml.safe_load(mixture_config.read_text())
+    split = experiment.load_split(experiment.ExperimentConfig.from_dict(raw))
+    raw["dataset"] = {}
+    for name, data in zip(("train", "test"), split):
+        if name == part:
+            data.samples[2, 5] = np.nan
+        save_csv(data, tmp_path / f"{name}.csv")
+        raw["dataset"][name] = {"csv": str(tmp_path / f"{name}.csv")}
+    config = tmp_path / "nan.yaml"
+    config.write_text(yaml.safe_dump(raw))
+
+    def reached(*args, **kwargs):
+        raise _Loaded
+
+    for stage in ("apply_corruption", "preprocess", "train_learner", "predict"):
+        monkeypatch.setattr(experiment, stage, reached)
+    monkeypatch.setattr(serialization, "load_model", reached)
+    name = "training" if part == "train" else "test"
+    with pytest.raises(SystemExit,
+                       match=f"^lkdl: the {name} set contains non-finite entries$"):
+        main(command + ["--config", str(config), "--out", str(tmp_path / "out"),
+                        "--set", f"pipeline={pipeline}"])
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", [
@@ -330,6 +423,17 @@ def test_train_classify_accuracy_equals_run_single(
     train, test = experiment.load_split(cfg)
     seed = experiment.derive_seeds(cfg.seed, 1)[0]
     assert cli_accuracy == experiment.run_single(cfg, train, test, seed)["accuracy"]
+    # two label vectors can share an accuracy: the labels and every value
+    # column must equal the in-process model's, bit for bit
+    F_train, F_test = train.samples, test.samples
+    if pipeline == "lkdl":
+        nmap, F_train = experiment.preprocess(cfg, train.samples, seed)
+        F_test = nystrom.transform(nmap, test.samples)
+    model = experiment.train_learner(cfg, F_train, train.labels, seed)
+    values = (lcksvd.class_scores if learner == "lcksvd" else class_residuals)(
+        model, F_test)
+    assert [int(r[2]) for r in rows] == experiment.predict(model, F_test).tolist()
+    assert np.array_equal(np.array([r[3:] for r in rows], dtype=float), values.T)
 
 
 @pytest.mark.parametrize("learner, column", [

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import lkdl
-from lkdl import experiment
+from lkdl import experiment, nystrom
 from lkdl.experiment import (
     CSV_FIELDS,
     RNG_NAME,
@@ -306,9 +306,8 @@ def test_lkdl_with_every_sample_a_landmark_classifies_as_the_baseline(
     cfg_kb = ExperimentConfig.from_dict({**raw, "pipeline": "kernel_baseline"})
     train, test = load_split(cfg)
     seed = 11
-    _, F_train, F_test = experiment.preprocess(
-        cfg, train.samples, test.samples, seed
-    )
+    nmap, F_train = experiment.preprocess(cfg, train.samples, seed)
+    F_test = nystrom.transform(nmap, test.samples)
     model = experiment.train_learner(cfg, F_train, train.labels, seed)
     model_kb = experiment.train_learner(
         cfg_kb, train.samples, train.labels, seed
@@ -438,6 +437,31 @@ def test_out_of_range_learner_settings_refused(
 
 class _Stop(Exception):
     pass
+
+
+@pytest.mark.parametrize("pipeline, learner_type", [
+    ("linear", "per_class"), ("linear", "lcksvd"), ("lkdl", "per_class"),
+    ("lkdl", "lcksvd"), ("kernel_baseline", "per_class"),
+])
+@pytest.mark.parametrize("part, name", [
+    (0, "the training set"), (1, "the test set"),
+])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_every_pipeline_refuses_non_finite_samples_before_it_runs(
+    monkeypatch, pipeline, learner_type, part, name, value
+):
+    # the linear pipeline used to learn on a NaN until the objective went
+    # non-finite, and to label a NaN test sample silently
+    def reached(*args, **kwargs):
+        raise _Stop
+
+    for stage in ("apply_corruption", "preprocess", "train_learner", "predict"):
+        monkeypatch.setattr(experiment, stage, reached)
+    cfg = _mixture_config(pipeline=pipeline, learner={"type": learner_type})
+    split = load_split(cfg)
+    split[part].samples[2, 5] = value
+    with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+        run_single(cfg, *split, seed=0)
 
 
 def test_pipelines_share_learner_defaults(monkeypatch):

@@ -124,3 +124,15 @@ def test_kernel_spec_refuses_non_finite_parameters(kind, field, value):
     # a NaN sigma passes a "sigma <= 0" test and would make every entry NaN
     with pytest.raises(ValueError, match="finite"):
         KernelSpec(kind=kind, **{field: value})
+
+
+@pytest.mark.parametrize("params", [
+    {"coef0": -1.0}, {"coef0": -1e-12}, {"degree": 2.5}, {"degree": 3.0},
+    {"degree": 0}, {"degree": -2},
+])
+def test_kernel_spec_refuses_a_polynomial_that_is_no_mercer_kernel(params):
+    # (x.y - 1)^3 has indefinite matrices, and a fractional power of a
+    # negative x.y is NaN: only an integer degree >= 1 and coef0 >= 0 give
+    # PSD matrices for every sample set
+    with pytest.raises(ValueError, match="integer degree >= 1 and coef0 >= 0"):
+        KernelSpec(kind="polynomial", **params)

@@ -252,7 +252,7 @@ def test_top_k_path_matches_full_eigh_with_repeated_and_clustered_tops(
     pairs = _lanczos_top(K, k)
     assert pairs is not None
     _assert_top_pairs(K, k, *pairs)
-    w, V, truncated = _top_eigpairs(K, k, "test")
+    w, V, truncated = _top_eigpairs(K, k, "test", psd=True)
     assert not truncated and np.array_equal(w, pairs[0])
     if values[k - 1] - values[k] > 1e-3:
         _, U = _full_eigh(K, k)
@@ -269,7 +269,7 @@ def test_top_k_path_below_rank_warns_and_keeps_the_rank(seed, c, rank):
     B = np.random.default_rng(seed).standard_normal((c, rank))
     K = B @ B.T
     with pytest.warns(UserWarning, match=f"exceeds numerical rank {rank};"):
-        w, V, truncated = _top_eigpairs(K, k, "test")
+        w, V, truncated = _top_eigpairs(K, k, "test", psd=True)
     assert truncated and w.shape == (rank,)
     _assert_top_pairs(K, rank, w, V)
 
@@ -281,31 +281,31 @@ def test_top_k_path_with_duplicated_landmarks(copies):
     W = kernel_matrix(GAUSS, X, X)
     rank = _numerical_rank(W)
     k = min(10, rank)
-    w, V, truncated = _top_eigpairs(W, k, "test")
+    w, V, truncated = _top_eigpairs(W, k, "test", psd=True)
     assert not truncated
     _assert_top_pairs(W, k, w, V)
     nmap = fit_from_landmarks(LandmarkSet(X), GAUSS, k)
     assert np.array_equal(nmap.sigma_k, w)
 
 
-def test_top_k_path_refuses_an_indefinite_matrix():
-    # (x.y - 1)^3 is no Mercer kernel: its matrix has eigenvalues far below
-    # -PSD_RTOL tr(W), and k = 4 of c = 60 takes the top-k path
-    kernel = KernelSpec(kind="polynomial", degree=3, coef0=-1.0)
+def test_exact_path_refuses_an_indefinite_matrix_at_small_k():
+    # (x.y - 1)^3 is no Mercer kernel, so no KernelSpec builds it: its
+    # matrix has eigenvalues far below -PSD_RTOL tr(K). k = 4 of c = 60
+    # would take the top-k path for a KernelSpec's W; the caller's K takes
+    # the full eigh and is refused
     X = _rand(3, 60, seed=21)
-    W = kernel_matrix(kernel, X, X)
-    assert np.linalg.eigvalsh(W)[0] < -1e-3 * np.trace(W)
-    with pytest.raises(ValueError, match="indefinite"):
-        _top_eigpairs(W, 4, "test")
-    with pytest.raises(ValueError, match="indefinite"):
-        fit_from_landmarks(LandmarkSet(X), kernel, 4)
+    K = (X.T @ X - 1.0) ** 3
+    assert LANCZOS_C_PER_K * 4 <= K.shape[0]
+    assert np.linalg.eigvalsh(K)[0] < -1e-3 * np.trace(K)
+    with pytest.raises(ValueError, match="kernel matrix: matrix is numerically indefinite"):
+        exact_virtual_samples(K, 4)
 
 
 def test_top_k_path_repeats_bit_identically():
     X = _rand(6, 200, seed=22)
     W = kernel_matrix(GAUSS, X, X)
-    first = _top_eigpairs(W, 16, "test")
-    second = _top_eigpairs(W, 16, "test")
+    first = _top_eigpairs(W, 16, "test", psd=True)
+    second = _top_eigpairs(W, 16, "test", psd=True)
     assert np.array_equal(first[0], second[0])
     assert np.array_equal(first[1], second[1])
     _assert_top_pairs(W, 16, first[0], first[1])
@@ -318,7 +318,7 @@ def test_unconverged_lanczos_falls_back_to_the_full_eigh():
     assert LANCZOS_C_PER_K * k <= c
     K = _psd_with_spectrum(1.0 + 1e-9 * np.linspace(0.0, 1.0, c), seed=23)
     assert _lanczos_top(K, k) is None
-    w, V, _ = _top_eigpairs(K, k, "test")
+    w, V, _ = _top_eigpairs(K, k, "test", psd=True)
     ref_w, ref_V = _full_eigh(K, k)
     assert np.array_equal(w, ref_w) and np.array_equal(V, ref_V)
 

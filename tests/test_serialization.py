@@ -170,6 +170,17 @@ def test_map_with_non_finite_kernel_parameter_rejected(tmp_path, offset, value):
         load_nystrom_map(f)
 
 
+def test_map_with_a_polynomial_kernel_of_negative_coef0_rejected(tmp_path):
+    # the kernel kind (u8) follows the header; coef0 is its last field. A
+    # polynomial kernel with coef0 < 0 is no Mercer kernel
+    _, f = _saved_map(tmp_path)
+    raw = f.read_bytes()
+    f.write_bytes(raw[:8] + bytes([1]) + raw[9:21] + np.float64(-1.0).tobytes()
+                  + raw[29:])
+    with pytest.raises(ValueError, match="coef0 >= 0"):
+        load_nystrom_map(f)
+
+
 def test_corrupt_but_well_formed_models_rejected(tmp_path):
     # every field parses, but the model it describes cannot classify
     f = tmp_path / "model.lkdl"
